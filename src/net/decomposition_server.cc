@@ -38,20 +38,6 @@ HttpResponse ErrorResponse(int status, const std::string& message) {
   return JsonErrorResponse(status, message);
 }
 
-/// Route label for the per-route latency histogram. A small closed set, so
-/// an attacker probing random paths cannot mint unbounded label values.
-const char* RouteLabel(const std::string& path) {
-  if (path == "/v1/decompose") return "decompose";
-  if (path == "/v1/query") return "query";
-  if (path.rfind("/v1/jobs/", 0) == 0) return "jobs";
-  if (path == "/v1/stats") return "stats";
-  if (path == "/v1/metrics") return "metrics";
-  if (path == "/v1/trace") return "trace";
-  if (path.rfind("/v1/admin/", 0) == 0) return "admin";
-  if (path == "/healthz") return "healthz";
-  return "other";
-}
-
 /// Server-Timing header value (RFC draft syntax: name;dur=millis) for the
 /// full stage breakdown of one synchronous decompose.
 std::string StageTimingHeader(double parse_seconds,
@@ -361,6 +347,19 @@ void DecompositionServer::BindMetrics() {
   metrics.RegisterCallback(
       "htd_connections", "state=\"writing\"", "gauge",
       [this] { return static_cast<double>(http_->connection_counts().writing); });
+  metrics.SetHelp("htd_snapshot_restored_entries",
+                  "Warm-state entries the startup snapshot restore loaded "
+                  "(cache, store) or dropped as outside this shard's range.");
+  metrics.RegisterCallback(
+      "htd_snapshot_restored_entries", "section=\"cache\"", "gauge",
+      [this] { return static_cast<double>(restored_.cache_entries); });
+  metrics.RegisterCallback(
+      "htd_snapshot_restored_entries", "section=\"store\"", "gauge",
+      [this] { return static_cast<double>(restored_.store_entries); });
+  metrics.RegisterCallback(
+      "htd_snapshot_restored_entries", "section=\"dropped_out_of_range\"",
+      "gauge",
+      [this] { return static_cast<double>(restored_.dropped_out_of_range); });
   metrics.SetHelp("htd_request_seconds", "HTTP request latency by route.");
 }
 
@@ -414,35 +413,6 @@ uint64_t DecompositionServer::TotalOutstandingJobs() const {
   // unbounded background work behind a healthy-looking scheduler queue.
   return service_->outstanding_jobs() +
          outstanding_query_jobs_.load(std::memory_order_acquire);
-}
-
-DecompositionServer::AdmissionStats DecompositionServer::admission_stats() const {
-  AdmissionStats stats;
-  stats.admitted = admitted_->Value();
-  stats.shed = shed_->Value();
-  stats.bad_requests = bad_requests_->Value();
-  stats.misrouted = misrouted_->Value();
-  return stats;
-}
-
-DecompositionServer::MigrationStats DecompositionServer::migration_stats() const {
-  MigrationStats stats;
-  stats.imported_cache_entries = imported_cache_entries_->Value();
-  stats.imported_store_entries = imported_store_entries_->Value();
-  stats.migrated_out_entries = migrated_out_entries_->Value();
-  return stats;
-}
-
-DecompositionServer::AntiEntropyStats
-DecompositionServer::anti_entropy_stats() const {
-  AntiEntropyStats stats;
-  stats.rounds_ok = ae_rounds_ok_->Value();
-  stats.rounds_error = ae_rounds_error_->Value();
-  stats.rounds_skipped = ae_rounds_skipped_->Value();
-  stats.merged_cache_entries = ae_entries_cache_->Value();
-  stats.merged_store_entries = ae_entries_store_->Value();
-  stats.bytes_pulled = ae_bytes_->Value();
-  return stats;
 }
 
 std::shared_ptr<const ShardState> DecompositionServer::shard_state() const {
@@ -562,58 +532,31 @@ HttpResponse DecompositionServer::Dispatch(const HttpRequest& request) {
     return HandleJob(id);
   }
   if (request.path == "/v1/stats") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/stats");
-    }
-    return HandleStats();
+    return OnlyMethod(request, "GET", [&] { return HandleStats(); });
   }
   if (request.path == "/v1/metrics") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/metrics");
-    }
-    return HandleMetrics();
+    return OnlyMethod(request, "GET", [&] { return HandleMetrics(); });
   }
   if (request.path == "/v1/trace") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/trace");
-    }
-    return HandleTrace(request);
+    return OnlyMethod(request, "GET", [&] { return HandleTrace(request); });
   }
   if (request.path == "/v1/admin/snapshot") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/admin/snapshot");
-    }
-    return HandleSnapshot();
+    return OnlyMethod(request, "POST", [&] { return HandleSnapshot(); });
   }
   if (request.path == "/v1/admin/export") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/admin/export");
-    }
-    return HandleExport(request);
+    return OnlyMethod(request, "GET", [&] { return HandleExport(request); });
   }
   if (request.path == "/v1/admin/import") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/admin/import");
-    }
-    return HandleImport(request);
+    return OnlyMethod(request, "POST", [&] { return HandleImport(request); });
   }
   if (request.path == "/v1/admin/migrate") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/admin/migrate");
-    }
-    return HandleMigrate(request);
+    return OnlyMethod(request, "POST", [&] { return HandleMigrate(request); });
   }
   if (request.path == "/v1/admin/digest") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/admin/digest");
-    }
-    return HandleDigest(request);
+    return OnlyMethod(request, "GET", [&] { return HandleDigest(request); });
   }
   if (request.path == "/v1/admin/antientropy") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/admin/antientropy");
-    }
-    return HandleAntiEntropy();
+    return OnlyMethod(request, "POST", [&] { return HandleAntiEntropy(); });
   }
   return ErrorResponse(404, "unknown route: " + request.path);
 }
@@ -1047,61 +990,15 @@ HttpResponse DecompositionServer::HandleQueryJob(const std::string& id) {
 }
 
 HttpResponse DecompositionServer::HandleStats() {
-  // One registry snapshot: every counter is sampled exactly once, in an
-  // order where derived counts precede the totals bounding them. The old
-  // field-by-field sampling could catch a migration or fan-out mid-update
-  // and report, e.g., more cache hits than submissions in one poll.
-  std::map<std::string, double> sampled;
-  for (const util::MetricSample& sample : service_->metrics().Snapshot()) {
-    sampled[sample.labels.empty() ? sample.name
-                                  : sample.name + "{" + sample.labels + "}"] =
-        sample.value;
-  }
-  auto count = [&](const std::string& key) {
-    auto it = sampled.find(key);
-    return std::to_string(
-        static_cast<uint64_t>(it == sampled.end() ? 0.0 : it->second));
-  };
+  // One registry collection: every counter is sampled exactly once, in an
+  // order where derived counts precede the totals bounding them, so one
+  // poll never reports, e.g., more cache hits than submissions.
+  std::string body =
+      "{\"metrics\": " + RenderMetricsJson(service_->metrics().Collect());
   auto shard = shard_state();
-
-  std::string body = "{";
-  body += "\"scheduler\": {";
-  body += "\"submitted\": " + count("htd_scheduler_submitted_total");
-  body += ", \"solves\": " + count("htd_scheduler_solves_total");
-  body += ", \"dedup_joins\": " + count("htd_scheduler_dedup_joins_total");
-  body += ", \"cache_hits\": " + count("htd_scheduler_cache_hits_total");
-  body += ", \"completed\": " + count("htd_scheduler_completed_total");
-  body += ", \"queue_depth\": " + count("htd_queue_depth");
-  body += ", \"outstanding\": " + count("htd_outstanding_jobs");
-  body += "}, \"cache\": {";
-  body += "\"hits\": " + count("htd_cache_hits_total");
-  body += ", \"misses\": " + count("htd_cache_misses_total");
-  body += ", \"insertions\": " + count("htd_cache_insertions_total");
-  body += ", \"evictions\": " + count("htd_cache_evictions_total");
-  body += ", \"entries\": " + count("htd_cache_entries");
-  body += ", \"capacity\": " + count("htd_cache_capacity");
-  body += "}, \"subproblem_store\": {";
-  body += "\"enabled\": " +
-          std::string(service_->options().enable_subproblem_store ? "true" : "false");
-  body += ", \"probes\": " + count("htd_store_probes_total");
-  body += ", \"negative_hits\": " + count("htd_store_negative_hits_total");
-  body += ", \"positive_hits\": " + count("htd_store_positive_hits_total");
-  body += ", \"entries\": " + count("htd_store_entries");
-  body += ", \"bytes\": " + count("htd_store_bytes");
-  body += "}, \"admission\": {";
-  body += "\"admitted\": " +
-          count("htd_admission_requests_total{result=\"admitted\"}");
-  body += ", \"shed\": " + count("htd_admission_requests_total{result=\"shed\"}");
-  body += ", \"connections_shed\": " + count("htd_connections_shed_total");
-  body += ", \"bad_requests\": " +
-          count("htd_admission_requests_total{result=\"bad_request\"}");
-  body += ", \"misrouted\": " +
-          count("htd_admission_requests_total{result=\"misrouted\"}");
-  body += ", \"max_queue_depth\": " + std::to_string(options_.max_queue_depth);
-  body += ", \"max_connections\": " + std::to_string(options_.http.max_connections);
-  body += "}, \"shard\": {";
+  body += ", \"shard\": {\"enabled\": ";
+  body += shard != nullptr ? "true" : "false";
   if (shard != nullptr) {
-    body += "\"enabled\": true";
     body += ", \"index\": " + std::to_string(shard->index);
     body += ", \"count\": " + std::to_string(shard->map.num_shards());
     body += ", \"digest\": \"" + shard->digest_hex + "\"";
@@ -1115,39 +1012,17 @@ HttpResponse DecompositionServer::HandleStats() {
         body += ", \"new_range\": \"" + HexRange(shard->new_range) + "\"";
       }
     }
-  } else {
-    body += "\"enabled\": false";
   }
-  body += "}, \"anti_entropy\": {";
-  body += std::string("\"enabled\": ") +
-          (options_.anti_entropy_interval_seconds > 0 ? "true" : "false");
-  body += ", \"interval_seconds\": " +
-          std::to_string(options_.anti_entropy_interval_seconds);
-  body += ", \"rounds_ok\": " +
-          count("htd_antientropy_rounds_total{result=\"ok\"}");
-  body += ", \"rounds_error\": " +
-          count("htd_antientropy_rounds_total{result=\"error\"}");
-  body += ", \"rounds_skipped\": " +
-          count("htd_antientropy_rounds_total{result=\"skipped\"}");
-  body += ", \"merged_cache_entries\": " +
-          count("htd_antientropy_entries_total{section=\"cache\"}");
-  body += ", \"merged_store_entries\": " +
-          count("htd_antientropy_entries_total{section=\"store\"}");
-  body += ", \"bytes_pulled\": " + count("htd_antientropy_bytes_total");
-  body += "}, \"migration\": {";
-  body += "\"imported_cache_entries\": " +
-          count("htd_migration_entries_total{direction=\"imported_cache\"}");
-  body += ", \"imported_store_entries\": " +
-          count("htd_migration_entries_total{direction=\"imported_store\"}");
-  body += ", \"migrated_out_entries\": " +
-          count("htd_migration_entries_total{direction=\"migrated_out\"}");
-  body += "}, \"snapshot\": {";
-  body += "\"path\": \"" + JsonEscape(options_.snapshot_path) + "\"";
-  body += ", \"restored_cache_entries\": " + std::to_string(restored_.cache_entries);
-  body += ", \"restored_store_entries\": " + std::to_string(restored_.store_entries);
-  body += ", \"restored_dropped_out_of_range\": " +
-          std::to_string(restored_.dropped_out_of_range);
-  body += "}}\n";
+  body += "}, \"config\": {";
+  body += "\"max_queue_depth\": " + std::to_string(options_.max_queue_depth);
+  body += ", \"max_connections\": " +
+          std::to_string(options_.http.max_connections);
+  body += ", \"anti_entropy_interval_seconds\": " +
+          util::FormatMetricValue(options_.anti_entropy_interval_seconds);
+  body += std::string(", \"subproblem_store\": ") +
+          (service_->options().enable_subproblem_store ? "true" : "false");
+  body += ", \"snapshot_path\": \"" + JsonEscape(options_.snapshot_path) +
+          "\"}}\n";
 
   HttpResponse response;
   response.body = std::move(body);

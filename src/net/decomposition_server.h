@@ -21,7 +21,9 @@
 //   GET  /v1/jobs/<id>      state of an async job; includes the result once
 //                           resolved. Serves decompose ("j<N>") and query
 //                           ("q<N>") jobs.
-//   GET  /v1/stats          scheduler/cache/store/admission counters.
+//   GET  /v1/stats          JSON view of one registry snapshot (every
+//                           non-histogram /v1/metrics family, same names)
+//                           plus the shard identity and admission config.
 //   POST /v1/admin/snapshot persist warm state to the configured snapshot
 //                           path (service/persistence.h).
 //   GET  /v1/admin/export?range=HEX-HEX
@@ -175,31 +177,6 @@ struct DecompositionServerOptions {
 
 class DecompositionServer {
  public:
-  struct AdmissionStats {
-    uint64_t admitted = 0;     ///< requests handed to the scheduler
-    uint64_t shed = 0;         ///< requests rejected with 429
-    uint64_t bad_requests = 0; ///< parse/validation failures (4xx)
-    uint64_t misrouted = 0;    ///< sharding refusals (421): digest or range
-  };
-
-  /// Warm-state movement counters (live resharding, docs/OPERATIONS.md).
-  struct MigrationStats {
-    uint64_t imported_cache_entries = 0;  ///< merged in via /v1/admin/import
-    uint64_t imported_store_entries = 0;
-    uint64_t migrated_out_entries = 0;    ///< pushed to new owners by migrate
-  };
-
-  /// Cumulative anti-entropy counters (same cells as the
-  /// htd_antientropy_*_total metrics).
-  struct AntiEntropyStats {
-    uint64_t rounds_ok = 0;       ///< rounds completed without a pull error
-    uint64_t rounds_error = 0;    ///< rounds with >= 1 failed/aborted sibling
-    uint64_t rounds_skipped = 0;  ///< no siblings, or migration in flight
-    uint64_t merged_cache_entries = 0;
-    uint64_t merged_store_entries = 0;
-    uint64_t bytes_pulled = 0;
-  };
-
   /// Outcome of one sweep round (RunAntiEntropySweep).
   struct SweepResult {
     int siblings = 0;       ///< siblings this round compared against
@@ -251,8 +228,6 @@ class DecompositionServer {
   int port() const { return http_->port(); }
   service::DecompositionService& decomposition_service() { return *service_; }
   qa::QueryEngine& query_engine() { return *query_engine_; }
-  AdmissionStats admission_stats() const;
-  MigrationStats migration_stats() const;
   /// Entries restored at startup (zeros when cold).
   const service::SnapshotStats& restored() const { return restored_; }
   /// Snapshot of the current sharding identity; null when unsharded.
@@ -261,8 +236,6 @@ class DecompositionServer {
   /// Saves warm state to options().snapshot_path (FailedPrecondition when no
   /// path is configured). Also reachable as POST /v1/admin/snapshot.
   util::StatusOr<service::SnapshotStats> SaveSnapshotNow();
-
-  AntiEntropyStats anti_entropy_stats() const;
 
   /// Runs one synchronous anti-entropy round: digest every sibling of this
   /// range, pull the differing slices, merge under dominance. What the
@@ -304,8 +277,9 @@ class DecompositionServer {
 
   explicit DecompositionServer(DecompositionServerOptions options);
 
-  /// Binds the admission/migration counters and route histograms onto the
-  /// service's MetricsRegistry (called once from Create, after service_).
+  /// Binds the admission/migration/anti-entropy counters, transport and
+  /// snapshot-restore gauges, and route histograms onto the service's
+  /// MetricsRegistry (called once from Create, after service_).
   void BindMetrics();
 
   /// Route dispatch body; Handle() wraps it with the per-route latency
@@ -375,9 +349,9 @@ class DecompositionServer {
   /// Serialises /v1/admin/migrate flows (begin, re-drive, finalise).
   std::mutex migrate_mutex_;
 
-  /// Admission/migration counters, owned by the service's MetricsRegistry
-  /// (so /v1/metrics, /v1/stats, and the struct accessors all read the
-  /// same cells). Bound in BindMetrics(); never null after Create().
+  /// Admission/migration/anti-entropy counters, owned by the service's
+  /// MetricsRegistry (so /v1/metrics and /v1/stats read the same cells).
+  /// Bound in BindMetrics(); never null after Create().
   util::Counter* admitted_ = nullptr;
   util::Counter* shed_ = nullptr;
   util::Counter* bad_requests_ = nullptr;

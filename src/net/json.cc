@@ -1,7 +1,7 @@
 #include "net/json.h"
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace htd::net {
 
@@ -35,24 +35,55 @@ HttpResponse JsonErrorResponse(int status, const std::string& message) {
   return response;
 }
 
-bool FindJsonNumber(const std::string& body, const std::string& section,
-                    const std::string& key, double* out) {
-  size_t section_pos = body.find("\"" + section + "\": {");
-  if (section_pos == std::string::npos) return false;
-  size_t section_end = body.find('}', section_pos);
-  if (section_end == std::string::npos) return false;
-  size_t key_pos = body.find("\"" + key + "\": ", section_pos);
-  if (key_pos == std::string::npos || key_pos > section_end) return false;
-  *out = std::strtod(body.c_str() + key_pos + key.size() + 4, nullptr);
-  return true;
+const char* RouteLabel(const std::string& path) {
+  if (path == "/v1/decompose") return "decompose";
+  if (path == "/v1/query") return "query";
+  if (path.rfind("/v1/jobs/", 0) == 0) return "jobs";
+  if (path == "/v1/stats") return "stats";
+  if (path == "/v1/metrics") return "metrics";
+  if (path == "/v1/trace") return "trace";
+  if (path.rfind("/v1/admin/", 0) == 0) return "admin";
+  if (path == "/healthz") return "healthz";
+  return "other";
 }
 
-bool FindJsonNumber(const std::string& body, const std::string& key,
-                    double* out) {
-  size_t key_pos = body.find("\"" + key + "\": ");
-  if (key_pos == std::string::npos) return false;
-  *out = std::strtod(body.c_str() + key_pos + key.size() + 4, nullptr);
-  return true;
+namespace {
+
+/// The JSON key of one series in a labelled family: the label value
+/// (`result="shed"` -> `shed`), or the whole list when there are several.
+std::string LabelKey(const std::string& labels) {
+  const size_t open = labels.find("=\"");
+  if (open == std::string::npos || labels.find("\",") != std::string::npos) {
+    return labels;
+  }
+  return labels.substr(open + 2, labels.size() - open - 3);
+}
+
+std::string NumberOrNull(double value) {
+  return std::isfinite(value) ? util::FormatMetricValue(value) : "null";
+}
+
+}  // namespace
+
+std::string RenderMetricsJson(const std::vector<util::MetricFamily>& families) {
+  std::string out = "{";
+  for (const util::MetricFamily& family : families) {
+    if (family.type == "histogram") continue;
+    if (out.size() > 1) out += ", ";
+    out += "\"" + JsonEscape(family.name) + "\": ";
+    const std::vector<util::MetricSample>& samples = family.samples;
+    if (samples.size() == 1 && samples[0].labels.empty()) {
+      out += NumberOrNull(samples[0].value);
+      continue;
+    }
+    out += "{";
+    for (size_t i = 0; i < samples.size(); ++i) {
+      out += (i > 0 ? ", \"" : "\"") + JsonEscape(LabelKey(samples[i].labels)) +
+             "\": " + NumberOrNull(samples[i].value);
+    }
+    out += "}";
+  }
+  return out + "}";
 }
 
 }  // namespace htd::net

@@ -21,20 +21,6 @@ HttpResponse ErrorResponse(int status, const std::string& message) {
   return JsonErrorResponse(status, message);
 }
 
-/// Route label for the router's per-route latency histogram (closed set,
-/// same rationale as the backend's).
-const char* RouteLabel(const std::string& path) {
-  if (path == "/v1/decompose") return "decompose";
-  if (path == "/v1/query") return "query";
-  if (path.rfind("/v1/jobs/", 0) == 0) return "jobs";
-  if (path == "/v1/stats") return "stats";
-  if (path == "/v1/metrics") return "metrics";
-  if (path == "/v1/trace") return "trace";
-  if (path.rfind("/v1/admin/", 0) == 0) return "admin";
-  if (path == "/healthz") return "healthz";
-  return "other";
-}
-
 /// Trailing-'\n'-free copy of a forwarded JSON body, for embedding.
 std::string Embed(const std::string& body) {
   std::string out = body;
@@ -423,16 +409,11 @@ HttpResponse ShardRouter::Dispatch(const HttpRequest& request) {
     return response;
   }
   if (request.path == "/v1/decompose") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/decompose");
-    }
-    return HandleDecompose(request);
+    return OnlyMethod(request, "POST",
+                      [&] { return HandleDecompose(request); });
   }
   if (request.path == "/v1/query") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/query");
-    }
-    return HandleQuery(request);
+    return OnlyMethod(request, "POST", [&] { return HandleQuery(request); });
   }
   if (request.path.rfind("/v1/jobs/", 0) == 0) {
     if (request.method != "GET") {
@@ -441,34 +422,20 @@ HttpResponse ShardRouter::Dispatch(const HttpRequest& request) {
     return HandleJob(request);
   }
   if (request.path == "/v1/stats") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/stats");
-    }
-    return HandleStats();
+    return OnlyMethod(request, "GET", [&] { return HandleStats(); });
   }
   if (request.path == "/v1/metrics") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/metrics");
-    }
-    return HandleMetrics();
+    return OnlyMethod(request, "GET", [&] { return HandleMetrics(); });
   }
   if (request.path == "/v1/trace") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/trace");
-    }
-    return HandleTrace(request);
+    return OnlyMethod(request, "GET", [&] { return HandleTrace(request); });
   }
   if (request.path == "/v1/admin/snapshot") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/admin/snapshot");
-    }
-    return HandleSnapshot();
+    return OnlyMethod(request, "POST", [&] { return HandleSnapshot(); });
   }
   if (request.path == "/v1/admin/transition") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/admin/transition");
-    }
-    return HandleTransition(request);
+    return OnlyMethod(request, "POST",
+                      [&] { return HandleTransition(request); });
   }
   return ErrorResponse(404, "unknown route (router): " + request.path);
 }
@@ -670,92 +637,100 @@ HttpResponse ShardRouter::HandleJob(const HttpRequest& request) {
   return last;
 }
 
-HttpResponse ShardRouter::HandleStats() {
-  // Aggregated keys summed across reachable endpoints; chosen to cover what
-  // operators and the smoke test assert on.
-  struct Field {
-    const char* section;
-    const char* key;
-    double sum = 0;
-  };
-  Field fields[] = {
-      {"scheduler", "submitted"}, {"scheduler", "solves"},
-      {"scheduler", "cache_hits"}, {"scheduler", "outstanding"},
-      {"cache", "hits"}, {"cache", "misses"}, {"cache", "entries"},
-      {"subproblem_store", "entries"}, {"admission", "admitted"},
-      {"admission", "shed"}, {"admission", "misrouted"},
-      {"migration", "imported_cache_entries"},
-      {"migration", "imported_store_entries"},
-      {"migration", "migrated_out_entries"},
-      {"snapshot", "restored_cache_entries"},
-      {"snapshot", "restored_store_entries"},
-  };
-
-  auto snapshot = maps();
-  std::vector<AddressedEndpoint> targets = AddressedEndpoints(*snapshot);
+ShardRouter::FleetScrape ShardRouter::ScrapeFleet(const Maps& maps) {
+  FleetScrape scrape;
+  scrape.targets = AddressedEndpoints(maps);
   // Full read timeout, not the connect timeout: a backend whose IO threads
-  // are pinned by long solves answers stats slowly, and timing it out here
-  // would RecordFailure a healthy endpoint into backoff — shedding live
-  // decompose traffic because an operator looked at a dashboard.
-  std::vector<HttpResponse> responses =
-      ForwardAll(targets, "GET", "/v1/stats", options_.read_timeout_seconds);
+  // are pinned by long solves answers slowly, and timing it out here would
+  // RecordFailure a healthy endpoint into backoff — shedding live decompose
+  // traffic because an operator looked at a dashboard.
+  scrape.responses = ForwardAll(scrape.targets, "GET", "/v1/metrics",
+                                options_.read_timeout_seconds);
+
+  // Identical series (same family, name and label set) are SUMMED —
+  // counters add, histogram bucket counts add, gauges add (entries/bytes
+  // gauges are fleet totals) — and each family keeps its first-seen
+  // HELP/TYPE, so the page stays one contiguous block per family.
+  std::vector<util::MetricFamily> summed;
+  std::map<std::string, size_t> family_at;
+  std::map<std::string, size_t> series_at;  // "family|name{labels}"
+  for (const HttpResponse& response : scrape.responses) {
+    if (response.status != 200) continue;
+    ++scrape.scraped;
+    for (util::MetricFamily& family : util::ParsePrometheusText(response.body)) {
+      auto [at, added] = family_at.emplace(family.name, summed.size());
+      if (added) summed.push_back({family.name, family.type, family.help, {}});
+      std::vector<util::MetricSample>& into = summed[at->second].samples;
+      for (util::MetricSample& sample : family.samples) {
+        auto [series, fresh] = series_at.emplace(
+            family.name + "|" + sample.name + "{" + sample.labels + "}",
+            into.size());
+        if (fresh) {
+          into.push_back(std::move(sample));
+        } else {
+          into[series->second].value += sample.value;
+        }
+      }
+    }
+  }
+
+  scrape.families = {
+      {"htd_fleet_endpoints_scraped", "gauge",
+       "Backends that answered this aggregated scrape.",
+       {{"htd_fleet_endpoints_scraped", "",
+         static_cast<double>(scrape.scraped)}}},
+      {"htd_fleet_endpoints", "gauge", "Backends addressed by the router.",
+       {{"htd_fleet_endpoints", "",
+         static_cast<double>(scrape.targets.size())}}},
+  };
+  for (util::MetricFamily& family : summed) {
+    scrape.families.push_back(std::move(family));
+  }
+  // Router-local series last; htd_router_* names never collide with the
+  // summed backend families.
+  for (util::MetricFamily& family : metrics_.Collect()) {
+    scrape.families.push_back(std::move(family));
+  }
+  return scrape;
+}
+
+HttpResponse ShardRouter::HandleStats() {
+  auto snapshot = maps();
+  FleetScrape scrape = ScrapeFleet(*snapshot);
   // Health rows for the SAME target list the fan-out used: re-enumerating
   // endpoints here could race a transition and misattribute counters.
-  auto router_stats = StatsForTargets(targets);
-  int reachable = 0;
+  auto health = StatsForTargets(scrape.targets);
   std::string shards_json;
-  for (size_t i = 0; i < targets.size(); ++i) {
-    const AddressedEndpoint& target = targets[i];
-    HttpResponse& endpoint_response = responses[i];
+  for (size_t i = 0; i < scrape.targets.size(); ++i) {
+    const AddressedEndpoint& target = scrape.targets[i];
+    const int status = scrape.responses[i].status;
     if (!shards_json.empty()) shards_json += ", ";
     shards_json += "{\"index\": " + std::to_string(target.range);
     shards_json += ", \"replica\": " + std::to_string(target.replica);
     shards_json += ", \"endpoint\": \"" + JsonEscape(target.endpoint.host) +
                    ":" + std::to_string(target.endpoint.port) + "\"";
     if (target.new_map_only) shards_json += ", \"new_map_only\": true";
-    shards_json +=
-        ", \"forwarded\": " + std::to_string(router_stats[i].forwarded);
+    shards_json += ", \"forwarded\": " + std::to_string(health[i].forwarded);
     shards_json += ", \"transport_errors\": " +
-                   std::to_string(router_stats[i].transport_errors);
+                   std::to_string(health[i].transport_errors);
     shards_json +=
-        ", \"backoff_shed\": " + std::to_string(router_stats[i].backoff_shed);
-    if (endpoint_response.status == 200) {
-      ++reachable;
-      for (Field& field : fields) {
-        double value = 0;
-        if (FindJsonNumber(endpoint_response.body, field.section, field.key,
-                           &value)) {
-          field.sum += value;
-        }
-      }
-      shards_json += ", \"reachable\": true, \"stats\": " +
-                     Embed(endpoint_response.body);
-    } else {
-      shards_json += ", \"reachable\": false, \"status\": " +
-                     std::to_string(endpoint_response.status);
-    }
-    shards_json += "}";
+        ", \"backoff_shed\": " + std::to_string(health[i].backoff_shed);
+    shards_json += std::string(", \"reachable\": ") +
+                   (status == 200 ? "true" : "false");
+    shards_json += ", \"status\": " + std::to_string(status) + "}";
   }
-
   std::string body = "{\"role\": \"router\"";
   body += ", \"shard_count\": " + std::to_string(snapshot->map.num_shards());
-  body += ", \"endpoint_count\": " + std::to_string(targets.size());
-  body += ", \"reachable\": " + std::to_string(reachable);
+  body += ", \"endpoint_count\": " + std::to_string(scrape.targets.size());
+  body += ", \"reachable\": " + std::to_string(scrape.scraped);
   body += ", \"map_digest\": \"" + snapshot->digest_hex + "\"";
   body += std::string(", \"transitioning\": ") +
           (snapshot->new_map.has_value() ? "true" : "false");
   if (snapshot->new_map.has_value()) {
     body += ", \"new_map_digest\": \"" + snapshot->new_digest_hex + "\"";
   }
-  body += ", \"aggregate\": {";
-  bool first = true;
-  for (const Field& field : fields) {
-    if (!first) body += ", ";
-    first = false;
-    body += "\"" + std::string(field.section) + "_" + field.key + "\": " +
-            std::to_string(static_cast<long long>(field.sum));
-  }
-  body += "}, \"shards\": [" + shards_json + "]}\n";
+  body += ", \"metrics\": " + RenderMetricsJson(scrape.families);
+  body += ", \"shards\": [" + shards_json + "]}\n";
 
   HttpResponse response;
   response.body = std::move(body);
@@ -763,102 +738,12 @@ HttpResponse ShardRouter::HandleStats() {
 }
 
 HttpResponse ShardRouter::HandleMetrics() {
-  auto snapshot = maps();
-  std::vector<AddressedEndpoint> targets = AddressedEndpoints(*snapshot);
-  std::vector<HttpResponse> responses =
-      ForwardAll(targets, "GET", "/v1/metrics", options_.read_timeout_seconds);
-
-  // Aggregate the backend scrapes into one Prometheus page: identical
-  // series (same name and label set) are SUMMED — counters add, histogram
-  // bucket counts add, gauges add (entries/bytes gauges are fleet totals) —
-  // while each family's first-seen HELP/TYPE lines are kept once. Family
-  // grouping is preserved because the text format requires one contiguous
-  // block per metric family.
-  struct Family {
-    std::vector<std::string> meta;          ///< "# HELP"/"# TYPE" lines
-    std::vector<std::string> series_order;  ///< series keys, first seen first
-    std::map<std::string, double> values;
-  };
-  std::vector<std::string> family_order;
-  std::map<std::string, Family> families;
-  auto family_of = [](const std::string& series) {
-    size_t cut = series.find_first_of("{ ");
-    return cut == std::string::npos ? series : series.substr(0, cut);
-  };
-  int scraped = 0;
-  for (const HttpResponse& endpoint_response : responses) {
-    if (endpoint_response.status != 200) continue;
-    ++scraped;
-    size_t pos = 0;
-    const std::string& text = endpoint_response.body;
-    while (pos < text.size()) {
-      size_t eol = text.find('\n', pos);
-      if (eol == std::string::npos) eol = text.size();
-      const std::string line = text.substr(pos, eol - pos);
-      pos = eol + 1;
-      if (line.empty()) continue;
-      if (line[0] == '#') {
-        // "# HELP <name> ..." / "# TYPE <name> ...": third token = family.
-        size_t name_start = line.find(' ', 2);
-        if (name_start == std::string::npos) continue;
-        ++name_start;
-        size_t name_end = line.find(' ', name_start);
-        const std::string family =
-            line.substr(name_start, name_end == std::string::npos
-                                        ? std::string::npos
-                                        : name_end - name_start);
-        if (families.find(family) == families.end()) {
-          family_order.push_back(family);
-        }
-        Family& entry = families[family];
-        bool seen = false;
-        for (const std::string& meta : entry.meta) seen = seen || meta == line;
-        if (!seen) entry.meta.push_back(line);
-        continue;
-      }
-      size_t value_cut = line.rfind(' ');
-      if (value_cut == std::string::npos) continue;
-      const std::string key = line.substr(0, value_cut);
-      char* end = nullptr;
-      const std::string value_text = line.substr(value_cut + 1);
-      double value = std::strtod(value_text.c_str(), &end);
-      if (end != value_text.c_str() + value_text.size()) continue;
-      const std::string family = family_of(key);
-      if (families.find(family) == families.end()) {
-        family_order.push_back(family);
-      }
-      Family& entry = families[family];
-      if (entry.values.find(key) == entry.values.end()) {
-        entry.series_order.push_back(key);
-      }
-      entry.values[key] += value;
-    }
-  }
-
-  std::string body;
-  body += "# HELP htd_fleet_endpoints_scraped Backends that answered this "
-          "aggregated scrape.\n";
-  body += "# TYPE htd_fleet_endpoints_scraped gauge\n";
-  body += "htd_fleet_endpoints_scraped " + std::to_string(scraped) + "\n";
-  body += "# HELP htd_fleet_endpoints Backends addressed by the router.\n";
-  body += "# TYPE htd_fleet_endpoints gauge\n";
-  body += "htd_fleet_endpoints " + std::to_string(targets.size()) + "\n";
-  for (const std::string& family : family_order) {
-    const Family& entry = families[family];
-    for (const std::string& meta : entry.meta) body += meta + "\n";
-    for (const std::string& key : entry.series_order) {
-      body += key + " " + util::FormatMetricValue(entry.values.at(key)) + "\n";
-    }
-  }
-  // Router-local series last; htd_router_* names never collide with the
-  // summed backend families.
-  body += metrics_.RenderPrometheus();
-
+  FleetScrape scrape = ScrapeFleet(*maps());
   HttpResponse response;
   // Prometheus text exposition format 0.0.4.
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  response.status = scraped > 0 || targets.empty() ? 200 : 502;
-  response.body = std::move(body);
+  response.status = scrape.scraped > 0 || scrape.targets.empty() ? 200 : 502;
+  response.body = util::RenderPrometheusText(scrape.families);
   return response;
 }
 

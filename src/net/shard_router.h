@@ -54,10 +54,10 @@
 // state to the exact minting process (replicas mint independent counters) —
 // polls try every replica of the range); /v1/query routes identically but
 // keys on the fingerprint of the QUERY'S HYPERGRAPH (qa/wire.h body), so
-// repeated queries warm the shard that owns them; /v1/stats fans out to every
-// endpoint and returns per-endpoint bodies plus an aggregated summary;
-// /v1/metrics fans out and returns one Prometheus text page with identical
-// backend series summed plus the router's own htd_router_* series appended;
+// repeated queries warm the shard that owns them; /v1/metrics fans out and
+// returns one Prometheus text page with identical backend series summed plus
+// the router's own htd_router_* series appended; /v1/stats renders the same
+// scrape as JSON (fleet-summed metrics plus per-endpoint health rows);
 // /v1/trace?n=K answers locally with the router's recent root spans;
 // /v1/admin/snapshot fans out (each process persists its own range);
 // /v1/admin/transition begins/completes/aborts a live reshard;
@@ -263,6 +263,18 @@ class ShardRouter {
   std::vector<HttpResponse> ForwardAll(
       const std::vector<AddressedEndpoint>& targets, const std::string& method,
       const std::string& target, double read_timeout_seconds);
+
+  /// One GET /v1/metrics fan-out and the page both /v1/metrics and
+  /// /v1/stats render from it: the htd_fleet_endpoints* gauges, every
+  /// backend series summed across the endpoints that answered, then the
+  /// router's own families.
+  struct FleetScrape {
+    std::vector<AddressedEndpoint> targets;
+    std::vector<HttpResponse> responses;  ///< index-aligned with targets
+    int scraped = 0;                      ///< responses that were 200
+    std::vector<util::MetricFamily> families;
+  };
+  FleetScrape ScrapeFleet(const Maps& maps);
 
   /// Health rows for exactly `targets`, index-aligned — callers that pair
   /// health with per-endpoint responses pass the SAME target list to both,

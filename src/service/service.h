@@ -137,7 +137,7 @@ class DecompositionService {
 
   /// The service's metric registry: stage latency histograms (observed by
   /// the scheduler), component counters registered as callbacks — derived
-  /// counters before their totals, so one Snapshot() never reports a part
+  /// counters before their totals, so one Collect() never reports a part
   /// exceeding its whole (the /v1/stats consistency contract). The HTTP
   /// front-end adds its own parse/serialise histograms and admission
   /// counters here and renders the whole thing at /v1/metrics.

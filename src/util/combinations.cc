@@ -1,6 +1,7 @@
 #include "util/combinations.h"
 
 #include <limits>
+#include <numeric>
 
 namespace htd::util {
 
@@ -12,7 +13,13 @@ int64_t BinomialCapped(int n, int s) {
   s = std::min(s, n - s);
   for (int i = 1; i <= s; ++i) {
     // result * (n - s + i) / i is exact because result is always a binomial.
-    result = result * (n - s + i) / i;
+    // Dividing by g = gcd(result, i) first leaves i / g dividing n - s + i,
+    // so the product below IS the next binomial: when it overflows int64_t
+    // the true value is past the cap too.
+    const int64_t g = std::gcd(result, static_cast<int64_t>(i));
+    if (__builtin_mul_overflow(result / g, (n - s + i) / (i / g), &result)) {
+      return cap;
+    }
     if (result >= cap) return cap;
   }
   return result;

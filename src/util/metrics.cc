@@ -1,7 +1,10 @@
 #include "util/metrics.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace htd::util {
 
@@ -81,30 +84,24 @@ void MetricsRegistry::SetHelp(const std::string& name,
 }
 
 MetricsRegistry::Entry* MetricsRegistry::Find(const std::string& name,
-                                              const std::string& labels) {
-  for (auto& entry : entries_) {
+                                              const std::string& labels) const {
+  for (const auto& entry : entries_) {
     if (entry->name == name && entry->labels == labels) return entry.get();
   }
   return nullptr;
 }
 
-std::vector<MetricSample> MetricsRegistry::Snapshot() const {
+double MetricsRegistry::Entry::Read() const {
+  if (counter != nullptr) return static_cast<double>(counter->Value());
+  return callback ? callback() : 0.0;
+}
+
+double MetricsRegistry::Value(const std::string& name,
+                              const std::string& labels) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<MetricSample> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) {
-    if (entry->histogram != nullptr) continue;
-    MetricSample sample;
-    sample.name = entry->name;
-    sample.labels = entry->labels;
-    if (entry->counter != nullptr) {
-      sample.value = static_cast<double>(entry->counter->Value());
-    } else if (entry->callback) {
-      sample.value = entry->callback();
-    }
-    out.push_back(std::move(sample));
-  }
-  return out;
+  const Entry* entry = Find(name, labels);
+  if (entry == nullptr || entry->histogram != nullptr) return std::nan("");
+  return entry->Read();
 }
 
 std::string FormatMetricValue(double value) {
@@ -122,61 +119,163 @@ std::string FormatMetricValue(double value) {
 
 namespace {
 
-std::string Braced(const std::string& labels) {
-  if (labels.empty()) return "";
-  return "{" + labels + "}";
+std::string WithLe(const std::string& labels, const std::string& le) {
+  return (labels.empty() ? "" : labels + ",") + "le=\"" + le + "\"";
 }
 
-std::string WithLe(const std::string& labels, const std::string& le) {
-  if (labels.empty()) return "{le=\"" + le + "\"}";
-  return "{" + labels + ",le=\"" + le + "\"}";
+/// Family index of `name` in `families`, appending an empty family on first
+/// sight.
+size_t FamilyIndex(const std::string& name, std::vector<MetricFamily>* families,
+                   std::map<std::string, size_t>* index) {
+  auto [it, added] = index->emplace(name, families->size());
+  if (added) families->push_back(MetricFamily{name, "", "", {}});
+  return it->second;
+}
+
+bool IsMetricName(const std::string& name) {
+  return !name.empty() && !std::isdigit(static_cast<unsigned char>(name[0])) &&
+         name.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
+                                "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:") ==
+             std::string::npos;
+}
+
+/// `name="value"` pairs separated by commas; values may hold \-escapes.
+bool IsLabelList(const std::string& labels) {
+  size_t i = 0;
+  while (i < labels.size()) {
+    size_t eq = labels.find('=', i);
+    if (eq == std::string::npos || !IsMetricName(labels.substr(i, eq - i)) ||
+        eq + 1 >= labels.size() || labels[eq + 1] != '"') {
+      return false;
+    }
+    for (i = eq + 2; i < labels.size() && labels[i] != '"';) {
+      i += labels[i] == '\\' ? 2 : 1;
+    }
+    if (i >= labels.size()) return false;  // unterminated value
+    if (++i == labels.size()) return true;
+    if (labels[i] != ',' || ++i == labels.size()) return false;
+  }
+  return true;
 }
 
 }  // namespace
 
-std::string MetricsRegistry::RenderPrometheus() const {
+std::vector<MetricFamily> MetricsRegistry::Collect() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  out.reserve(4096);
-  std::map<std::string, bool> typed;
+  std::vector<MetricFamily> families;
+  std::map<std::string, size_t> index;
   for (const auto& entry : entries_) {
-    if (!typed.count(entry->name)) {
-      typed[entry->name] = true;
+    MetricFamily& family =
+        families[FamilyIndex(entry->name, &families, &index)];
+    if (family.type.empty()) {
+      family.type = entry->type;
       auto help = help_.find(entry->name);
-      if (help != help_.end()) {
-        out += "# HELP " + entry->name + " " + help->second + "\n";
-      }
-      out += "# TYPE " + entry->name + " " + entry->type + "\n";
+      if (help != help_.end()) family.help = help->second;
     }
-    if (entry->histogram != nullptr) {
-      const Histogram& h = *entry->histogram;
-      uint64_t cumulative = 0;
-      for (int i = 0; i < Histogram::kFiniteBuckets; ++i) {
-        cumulative += h.BucketValue(i);
-        char bound[32];
-        std::snprintf(bound, sizeof(bound), "%g", Histogram::BucketBound(i));
-        out += entry->name + "_bucket" + WithLe(entry->labels, bound) + " " +
-               FormatMetricValue(static_cast<double>(cumulative)) + "\n";
-      }
-      cumulative += h.BucketValue(Histogram::kFiniteBuckets);
-      out += entry->name + "_bucket" + WithLe(entry->labels, "+Inf") + " " +
-             FormatMetricValue(static_cast<double>(cumulative)) + "\n";
-      out += entry->name + "_sum" + Braced(entry->labels) + " " +
-             FormatMetricValue(h.SumSeconds()) + "\n";
-      out += entry->name + "_count" + Braced(entry->labels) + " " +
-             FormatMetricValue(static_cast<double>(h.Count())) + "\n";
+    if (entry->histogram == nullptr) {
+      family.samples.push_back({entry->name, entry->labels, entry->Read()});
       continue;
     }
-    double value = 0.0;
-    if (entry->counter != nullptr) {
-      value = static_cast<double>(entry->counter->Value());
-    } else if (entry->callback) {
-      value = entry->callback();
+    const Histogram& h = *entry->histogram;
+    uint64_t cumulative = 0;
+    for (int i = 0; i < Histogram::kBucketCount; ++i) {
+      cumulative += h.BucketValue(i);
+      char bound[32] = "+Inf";
+      if (i < Histogram::kFiniteBuckets) {
+        std::snprintf(bound, sizeof(bound), "%g", Histogram::BucketBound(i));
+      }
+      family.samples.push_back({entry->name + "_bucket",
+                                WithLe(entry->labels, bound),
+                                static_cast<double>(cumulative)});
     }
-    out += entry->name + Braced(entry->labels) + " " +
-           FormatMetricValue(value) + "\n";
+    family.samples.push_back(
+        {entry->name + "_sum", entry->labels, h.SumSeconds()});
+    family.samples.push_back({entry->name + "_count", entry->labels,
+                              static_cast<double>(h.Count())});
+  }
+  return families;
+}
+
+std::string MetricsRegistry::RenderPrometheus() const {
+  return RenderPrometheusText(Collect());
+}
+
+std::string RenderPrometheusText(const std::vector<MetricFamily>& families) {
+  std::string out;
+  out.reserve(4096);
+  for (const MetricFamily& family : families) {
+    if (!family.help.empty()) {
+      out += "# HELP " + family.name + " " + family.help + "\n";
+    }
+    if (!family.type.empty()) {
+      out += "# TYPE " + family.name + " " + family.type + "\n";
+    }
+    for (const MetricSample& sample : family.samples) {
+      out += sample.name;
+      if (!sample.labels.empty()) out += "{" + sample.labels + "}";
+      out += " " + FormatMetricValue(sample.value) + "\n";
+    }
   }
   return out;
+}
+
+std::vector<MetricFamily> ParsePrometheusText(const std::string& text) {
+  std::vector<MetricFamily> families;
+  std::map<std::string, size_t> index;
+  std::string histogram;  // the family named by the last TYPE histogram line
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    const std::string line = text.substr(pos, eol - pos);
+    pos = eol + 1;
+    const bool help = line.rfind("# HELP ", 0) == 0;
+    if (help || line.rfind("# TYPE ", 0) == 0) {
+      size_t name_end = line.find(' ', 7);
+      if (name_end == std::string::npos) continue;
+      const std::string name = line.substr(7, name_end - 7);
+      const std::string rest = line.substr(name_end + 1);
+      if (!IsMetricName(name)) continue;
+      if (!help && rest != "counter" && rest != "gauge" &&
+          rest != "histogram" && rest != "summary" && rest != "untyped") {
+        continue;
+      }
+      MetricFamily& family = families[FamilyIndex(name, &families, &index)];
+      (help ? family.help : family.type) = rest;
+      if (!help) histogram = rest == "histogram" ? name : "";
+      continue;
+    }
+    if (line.empty() || line[0] == '#') continue;
+    // `name[{labels}] value`
+    size_t value_cut = line.rfind(' ');
+    if (value_cut == std::string::npos || value_cut + 1 == line.size()) continue;
+    const std::string value_text = line.substr(value_cut + 1);
+    char* end = nullptr;
+    MetricSample sample;
+    sample.value = std::strtod(value_text.c_str(), &end);
+    if (end != value_text.c_str() + value_text.size()) continue;
+    size_t brace = line.find('{');
+    if (brace < value_cut) {
+      if (line[value_cut - 1] != '}') continue;
+      sample.labels = line.substr(brace + 1, value_cut - brace - 2);
+      if (!IsLabelList(sample.labels)) continue;
+    } else {
+      brace = value_cut;
+    }
+    sample.name = line.substr(0, brace);
+    if (!IsMetricName(sample.name)) continue;
+    // The _bucket/_sum/_count series after a histogram's TYPE line belong
+    // to its family.
+    const std::string suffix =
+        sample.name.substr(std::min(histogram.size() + 1, sample.name.size()));
+    const bool in_histogram =
+        !histogram.empty() && sample.name == histogram + "_" + suffix &&
+        (suffix == "bucket" || suffix == "sum" || suffix == "count");
+    families[FamilyIndex(in_histogram ? histogram : sample.name, &families,
+                         &index)]
+        .samples.push_back(std::move(sample));
+  }
+  return families;
 }
 
 }  // namespace htd::util

@@ -4,10 +4,10 @@
 // The registry is instantiable (not a singleton): each DecompositionService
 // owns one, so tests running several servers in one process keep their
 // counters separate. Updates are relaxed atomics; registration takes a
-// mutex once per metric. Snapshot() reads every metric exactly once, in
+// mutex once per metric. Collect() reads every metric exactly once, in
 // registration order — register derived counters before their totals
-// (cache hits before submissions) and a single snapshot can never report
-// a part exceeding its whole, which is the /v1/stats consistency fix.
+// (cache hits before submissions) and a single collection can never report
+// a part exceeding its whole, which keeps /v1/stats consistent.
 #pragma once
 
 #include <atomic>
@@ -59,11 +59,23 @@ class Histogram {
   std::atomic<uint64_t> sum_ns_{0};
 };
 
-/// One sampled value in a registry snapshot.
+/// One sampled series value.
 struct MetricSample {
   std::string name;
   std::string labels;  ///< rendered label list without braces, may be empty
   double value = 0.0;
+};
+
+/// One metric family of a Prometheus text page: what
+/// MetricsRegistry::Collect() produces, RenderPrometheusText() writes and
+/// ParsePrometheusText() reads back.
+struct MetricFamily {
+  std::string name;
+  std::string type;  ///< "counter", "gauge", "histogram"; empty if untyped
+  std::string help;  ///< empty when the page had no HELP line
+  /// Series in page order. A histogram's series keep their _bucket / _sum /
+  /// _count suffix (and the bucket's `le` label).
+  std::vector<MetricSample> samples;
 };
 
 class MetricsRegistry {
@@ -83,9 +95,14 @@ class MetricsRegistry {
   /// Attaches a HELP line to a metric family.
   void SetHelp(const std::string& name, const std::string& help);
 
-  /// Reads every counter and callback exactly once, in registration
-  /// order. Histograms are excluded (render-only).
-  std::vector<MetricSample> Snapshot() const;
+  /// The current value of one counter or callback series; NaN when no such
+  /// series is registered (histograms included).
+  double Value(const std::string& name, const std::string& labels = "") const;
+
+  /// Everything registered, grouped by family in first-registration order,
+  /// histograms expanded into their bucket/sum/count series. Every counter
+  /// and callback is read exactly once, in registration order.
+  std::vector<MetricFamily> Collect() const;
 
   /// Prometheus text exposition (version 0.0.4) of everything registered.
   std::string RenderPrometheus() const;
@@ -98,9 +115,12 @@ class MetricsRegistry {
     Counter* counter = nullptr;
     Histogram* histogram = nullptr;
     std::function<double()> callback;
+
+    /// The counter's or callback's current value (0 for a histogram).
+    double Read() const;
   };
 
-  Entry* Find(const std::string& name, const std::string& labels);
+  Entry* Find(const std::string& name, const std::string& labels) const;
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Entry>> entries_;
@@ -112,5 +132,15 @@ class MetricsRegistry {
 /// Formats a double the way the registry renders values: integers without
 /// a decimal point, everything else with %g.
 std::string FormatMetricValue(double value);
+
+/// Prometheus text exposition (version 0.0.4) of `families`: HELP and TYPE
+/// lines when set, then one `name{labels} value` line per sample.
+std::string RenderPrometheusText(const std::vector<MetricFamily>& families);
+
+/// The inverse of RenderPrometheusText: families in first-seen order. The
+/// _bucket/_sum/_count series following a histogram's TYPE line join that
+/// family. Pages come from other processes, so a malformed line is
+/// skipped, never trusted: the result holds only well-formed samples.
+std::vector<MetricFamily> ParsePrometheusText(const std::string& text);
 
 }  // namespace htd::util

@@ -594,6 +594,12 @@ service::ShardMap MustParse(const std::string& spec) {
   return *map;
 }
 
+/// One series of `server`'s metrics registry (NaN when unregistered).
+double Metric(net::DecompositionServer& server, const std::string& name,
+              const std::string& labels = "") {
+  return server.decomposition_service().metrics().Value(name, labels);
+}
+
 std::unique_ptr<net::DecompositionServer> StartReplica(
     int port, const service::ShardMap& map, int index) {
   net::DecompositionServerOptions options;
@@ -649,10 +655,11 @@ TEST(SweepTest, PullsSiblingWarmStateAndConverges) {
       << "equal digests must not trigger pulls: " << again.body;
 
   WireResponse stats = Exchange(pb, "GET", "/v1/stats");
-  EXPECT_NE(stats.body.find("\"anti_entropy\""), std::string::npos) << stats.body;
-  EXPECT_NE(stats.body.find("\"rounds_ok\": 2"), std::string::npos) << stats.body;
-  EXPECT_EQ(b->anti_entropy_stats().rounds_ok, 2u);
-  EXPECT_GE(b->anti_entropy_stats().bytes_pulled, 1u);
+  EXPECT_NE(stats.body.find("\"htd_antientropy_rounds_total\": {\"ok\": 2,"),
+            std::string::npos)
+      << stats.body;
+  EXPECT_EQ(Metric(*b, "htd_antientropy_rounds_total", "result=\"ok\""), 2);
+  EXPECT_GE(Metric(*b, "htd_antientropy_bytes_total"), 1);
 
   a->Stop();
   b->Stop();
@@ -680,7 +687,8 @@ TEST(SweepTest, UnreplicatedRangeSkipsAndUnshardedIs412) {
   WireResponse swept = Exchange(p0, "POST", "/v1/admin/antientropy");
   ASSERT_EQ(swept.status, 200) << swept.body;
   EXPECT_NE(swept.body.find("\"siblings\": 0"), std::string::npos) << swept.body;
-  EXPECT_EQ(lone->anti_entropy_stats().rounds_skipped, 1u);
+  EXPECT_EQ(Metric(*lone, "htd_antientropy_rounds_total", "result=\"skipped\""),
+            1);
   lone->Stop();
 
   // The background interval without a shard map is refused at Create.
@@ -746,9 +754,9 @@ TEST(SweepTest, CorruptSiblingAbortsCleanlyWithoutTouchingTheStore) {
   ASSERT_EQ(swept2.status, 502) << swept2.body;
   EXPECT_NE(swept2.body.find("\"cache_entries\": 0"), std::string::npos)
       << "corrupt blobs must merge nothing: " << swept2.body;
-  EXPECT_EQ(b->anti_entropy_stats().rounds_error, 2u);
-  EXPECT_EQ(b->anti_entropy_stats().merged_cache_entries, 0u);
-  EXPECT_EQ(b->anti_entropy_stats().merged_store_entries, 0u);
+  EXPECT_EQ(Metric(*b, "htd_antientropy_rounds_total", "result=\"error\""), 2);
+  EXPECT_EQ(Metric(*b, "htd_antientropy_entries_total", "section=\"cache\""), 0);
+  EXPECT_EQ(Metric(*b, "htd_antientropy_entries_total", "section=\"store\""), 0);
 
   // B's own warm state is intact: the replay still hits.
   WireResponse replay = Exchange(pb, "POST", "/v1/decompose?k=2", instance);
@@ -776,7 +784,8 @@ TEST(SweepTest, MigrationInFlightSkipsTheRound) {
 
   WireResponse swept = Exchange(pa, "POST", "/v1/admin/antientropy");
   EXPECT_EQ(swept.status, 412) << swept.body;
-  EXPECT_EQ(a->anti_entropy_stats().rounds_skipped, 1u);
+  EXPECT_EQ(Metric(*a, "htd_antientropy_rounds_total", "result=\"skipped\""),
+            1);
   a->Stop();
 }
 
@@ -808,7 +817,7 @@ TEST(SweepTest, BackgroundLoopConvergesWithoutOperatorAction) {
 
   bool warm = false;
   for (int i = 0; i < 500 && !warm; ++i) {
-    warm = (*b)->anti_entropy_stats().merged_cache_entries > 0;
+    warm = Metric(**b, "htd_antientropy_entries_total", "section=\"cache\"") > 0;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(warm) << "the background loop must pull the sibling's state";

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -20,6 +21,11 @@ TEST(BinomialTest, SmallValues) {
 
 TEST(BinomialTest, SaturatesInsteadOfOverflowing) {
   EXPECT_GT(BinomialCapped(200, 100), 0);
+  // Exact right below the cap even where result * (n - s + i) would not
+  // fit in int64_t (C(61, 30) * 62 > 2^63), and saturated right above it.
+  EXPECT_EQ(BinomialCapped(62, 31), 465428353255261088);
+  EXPECT_EQ(BinomialCapped(64, 32), 1832624140942590534);
+  EXPECT_EQ(BinomialCapped(66, 33), std::numeric_limits<int64_t>::max() / 4);
 }
 
 TEST(SubsetEnumeratorTest, EnumeratesAllSizes) {

@@ -27,6 +27,7 @@
 #include "cq/query.h"
 #include "net/http.h"
 #include "qa/wire.h"
+#include "util/metrics.h"
 #include "util/socket.h"
 
 namespace htd::net {
@@ -66,6 +67,12 @@ WireResponse Exchange(int port, const std::string& method,
   return out;
 }
 
+/// One series of `server`'s metrics registry (NaN when unregistered).
+double Metric(DecompositionServer& server, const std::string& name,
+              const std::string& labels = "") {
+  return server.decomposition_service().metrics().Value(name, labels);
+}
+
 DecompositionServerOptions BaseOptions() {
   DecompositionServerOptions options;
   options.http.port = 0;  // ephemeral
@@ -98,7 +105,9 @@ TEST(NetServerTest, DecomposeSyncAndCacheHit) {
 
   WireResponse stats = Exchange(port, "GET", "/v1/stats");
   EXPECT_EQ(stats.status, 200);
-  EXPECT_NE(stats.body.find("\"cache_hits\": 1"), std::string::npos) << stats.body;
+  EXPECT_NE(stats.body.find("\"htd_scheduler_cache_hits_total\": 1"),
+            std::string::npos)
+      << stats.body;
   (*server)->Stop();
 }
 
@@ -122,7 +131,7 @@ TEST(NetServerTest, ValidationAndRouting) {
   EXPECT_EQ(Exchange(port, "GET", "/healthz").status, 200);
 
   WireResponse stats = Exchange(port, "GET", "/v1/stats");
-  EXPECT_NE(stats.body.find("\"bad_requests\": 4"), std::string::npos) << stats.body;
+  EXPECT_NE(stats.body.find("\"bad_request\": 4"), std::string::npos) << stats.body;
   (*server)->Stop();
 }
 
@@ -234,10 +243,14 @@ TEST(NetServerTest, SyncFloodShedsAtTheConnectionBound) {
   // The acceptor counts a connection live before its handler task has run;
   // stopping now could 503 the pins before they are admitted. Wait until
   // both have reached the scheduler.
-  for (int i = 0; i < 500 && (*server)->admission_stats().admitted < 2; ++i) {
+  const std::string admitted = "result=\"admitted\"";
+  for (int i = 0;
+       i < 500 &&
+       Metric(**server, "htd_admission_requests_total", admitted) < 2;
+       ++i) {
     std::this_thread::sleep_for(10ms);
   }
-  EXPECT_EQ((*server)->admission_stats().admitted, 2u);
+  EXPECT_EQ(Metric(**server, "htd_admission_requests_total", admitted), 2);
 
   // Stop() cancels the pinned solves but flushes their in-flight responses
   // (read-side-only shutdown): both pinned connections still read an
@@ -355,7 +368,8 @@ TEST(NetServerTest, SnapshotWarmRestartServesCacheHits) {
         << "warm restart must serve previously-solved instances from cache: "
         << replay.body;
     WireResponse stats = Exchange(port, "GET", "/v1/stats");
-    EXPECT_NE(stats.body.find("\"restored_cache_entries\": 2"), std::string::npos)
+    EXPECT_NE(stats.body.find("\"htd_snapshot_restored_entries\": {\"cache\": 2,"),
+              std::string::npos)
         << stats.body;
     (*server)->Stop();
   }
@@ -498,10 +512,30 @@ TEST(NetServerTest, StatsReadFromOneSnapshotStayConsistent) {
       Exchange(port, "POST", "/v1/decompose?k=2", PathInstance()).status, 200);
   WireResponse stats = Exchange(port, "GET", "/v1/stats");
   ASSERT_EQ(stats.status, 200);
-  // The pre-observability key set survives the snapshot rewrite.
+  EXPECT_EQ(stats.body.rfind("{\"metrics\": {", 0), 0u) << stats.body;
+  EXPECT_NE(stats.body.find("\"shard\": {\"enabled\": false}"),
+            std::string::npos)
+      << stats.body;
+  EXPECT_NE(stats.body.find("\"config\": {\"max_queue_depth\": 64"),
+            std::string::npos)
+      << stats.body;
+  // One snapshot, one name per counter: every non-histogram family of
+  // /v1/metrics is a key of the stats metrics object, admission and
+  // scheduler counters included.
+  WireResponse page = Exchange(port, "GET", "/v1/metrics");
+  ASSERT_EQ(page.status, 200);
+  int families = 0;
+  for (const util::MetricFamily& family : util::ParsePrometheusText(page.body)) {
+    if (family.type == "histogram") continue;
+    ++families;
+    EXPECT_NE(stats.body.find("\"" + family.name + "\": "), std::string::npos)
+        << "missing stats family " << family.name << " in: " << stats.body;
+  }
+  EXPECT_GE(families, 20);
   for (const char* key :
-       {"\"admitted\"", "\"shed\"", "\"bad_requests\"", "\"submitted\"",
-        "\"completed\"", "\"cache_hits\"", "\"queue_depth\""}) {
+       {"\"admitted\": 1", "\"shed\": 0", "\"bad_request\": 0",
+        "\"htd_scheduler_submitted_total\": 1",
+        "\"htd_scheduler_completed_total\": 1", "\"htd_queue_depth\": 0"}) {
     EXPECT_NE(stats.body.find(key), std::string::npos)
         << "missing stats key " << key << " in: " << stats.body;
   }

@@ -53,6 +53,12 @@ HttpRequest Request(const std::string& method, const std::string& target,
 
 /// Reserves an ephemeral port (bind + close; the tiny reuse race is
 /// acceptable in tests, same pattern as tools/server_smoke.py).
+/// One series of `server`'s metrics registry (NaN when unregistered).
+double Metric(DecompositionServer& server, const std::string& name,
+              const std::string& labels = "") {
+  return server.decomposition_service().metrics().Value(name, labels);
+}
+
 int FreePort() {
   auto listener = util::ListenTcp("127.0.0.1", 0, 1);
   EXPECT_TRUE(listener.ok());
@@ -168,11 +174,12 @@ TEST(ReshardTest, MigrationMovesWarmStateToNewOwners) {
   EXPECT_GT(movers, 0u);
 
   // The counters agree: donors pushed, receivers imported.
-  uint64_t out = 0, in = 0;
+  double out = 0, in = 0;
   for (auto& backend : backends) {
-    out += backend->migration_stats().migrated_out_entries;
-    in += backend->migration_stats().imported_cache_entries +
-          backend->migration_stats().imported_store_entries;
+    const std::string counter = "htd_migration_entries_total";
+    out += Metric(*backend, counter, "direction=\"migrated_out\"");
+    in += Metric(*backend, counter, "direction=\"imported_cache\"") +
+          Metric(*backend, counter, "direction=\"imported_store\"");
   }
   EXPECT_GE(out, movers);
   EXPECT_GE(in, movers);
@@ -545,8 +552,11 @@ TEST(ReshardTest, ReplicatedRangeRoundRobinsAndSurvivesReplicaDeath) {
     EXPECT_NE(response.body.find("\"cache_hit\": false"), std::string::npos)
         << "round-robin must alternate replicas: " << response.body;
   }
-  EXPECT_EQ(replicas[0]->admission_stats().admitted, 1u);
-  EXPECT_EQ(replicas[1]->admission_stats().admitted, 1u);
+  for (auto& replica : replicas) {
+    EXPECT_EQ(Metric(*replica, "htd_admission_requests_total",
+                     "result=\"admitted\""),
+              1);
+  }
 
   // Async jobs round-robin too, and each replica mints its OWN counter, so
   // the router's id prefix must name the replica — polling "s0.j1" on the

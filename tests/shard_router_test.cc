@@ -15,6 +15,7 @@
 #include "hypergraph/writer.h"
 #include "net/decomposition_server.h"
 #include "service/canonical.h"
+#include "util/metrics.h"
 
 namespace htd::net {
 namespace {
@@ -23,6 +24,12 @@ service::ShardMap MustParse(const std::string& spec) {
   auto map = service::ShardMap::Parse(spec);
   EXPECT_TRUE(map.ok()) << map.status().message();
   return *map;
+}
+
+/// One series of `server`'s metrics registry (NaN when unregistered).
+double Metric(DecompositionServer& server, const std::string& name,
+              const std::string& labels = "") {
+  return server.decomposition_service().metrics().Value(name, labels);
 }
 
 HttpRequest Request(const std::string& method, const std::string& target,
@@ -116,7 +123,7 @@ TEST(ShardRouterTest, RoutesDeterministicallyAndWarmStateSplits) {
   // The warm state is a partition: each shard solved and cached exactly one
   // of the two instances.
   for (auto& shard : fleet.shards) {
-    EXPECT_EQ(shard->admission_stats().admitted, 2u);
+    EXPECT_EQ(Metric(*shard, "htd_admission_requests_total", "result=\"admitted\""), 2);
     EXPECT_EQ(shard->decomposition_service().cache_stats().entries, 1u);
   }
 
@@ -124,11 +131,25 @@ TEST(ShardRouterTest, RoutesDeterministicallyAndWarmStateSplits) {
   HttpResponse stats = fleet.router->Handle(Request("GET", "/v1/stats"));
   ASSERT_EQ(stats.status, 200);
   EXPECT_NE(stats.body.find("\"role\": \"router\""), std::string::npos);
-  EXPECT_NE(stats.body.find("\"admission_admitted\": 4"), std::string::npos)
+  EXPECT_NE(stats.body.find("\"htd_admission_requests_total\": {\"admitted\": 4,"),
+            std::string::npos)
       << stats.body;
-  EXPECT_NE(stats.body.find("\"cache_entries\": 2"), std::string::npos)
+  EXPECT_NE(stats.body.find("\"htd_cache_entries\": 2"), std::string::npos)
       << stats.body;
   EXPECT_NE(stats.body.find("\"reachable\": 2"), std::string::npos) << stats.body;
+
+  // /v1/stats renders the same fleet sum as /v1/metrics: every non-histogram
+  // family on the router's page is a key of its metrics object.
+  HttpResponse page = fleet.router->Handle(Request("GET", "/v1/metrics"));
+  ASSERT_EQ(page.status, 200);
+  int families = 0;
+  for (const util::MetricFamily& family : util::ParsePrometheusText(page.body)) {
+    if (family.type == "histogram") continue;
+    ++families;
+    EXPECT_NE(stats.body.find("\"" + family.name + "\": "), std::string::npos)
+        << "router /v1/stats is missing " << family.name;
+  }
+  EXPECT_GE(families, 20);
 
   fleet.Stop();
 }
@@ -241,8 +262,8 @@ TEST(ShardRouterTest, BackendRejectsMismatchedDigestWith421) {
       MustParse("127.0.0.1:1001,127.0.0.1:1002,127.0.0.1:1003").DigestHex();
   HttpResponse refused = (*server)->Handle(stale);
   EXPECT_EQ(refused.status, 421) << refused.body;
-  EXPECT_EQ((*server)->admission_stats().misrouted, 1u);
-  EXPECT_EQ((*server)->admission_stats().admitted, 0u);
+  EXPECT_EQ(Metric(**server, "htd_admission_requests_total", "result=\"misrouted\""), 1);
+  EXPECT_EQ(Metric(**server, "htd_admission_requests_total", "result=\"admitted\""), 0);
 
   // The matching digest is served.
   HttpRequest fresh = Request("POST", "/v1/decompose?k=2", instance);
@@ -255,7 +276,7 @@ TEST(ShardRouterTest, BackendRejectsMismatchedDigestWith421) {
   HttpRequest misrouted = Request("POST", "/v1/decompose?k=2", instance);
   misrouted.headers["x-htd-shard-fingerprint"] = outside.ToHex();
   EXPECT_EQ((*server)->Handle(misrouted).status, 421);
-  EXPECT_EQ((*server)->admission_stats().misrouted, 2u);
+  EXPECT_EQ(Metric(**server, "htd_admission_requests_total", "result=\"misrouted\""), 2);
 }
 
 TEST(ShardRouterTest, BackendSelfEnforcesItsRangeOnDirectRequests) {
@@ -291,8 +312,8 @@ TEST(ShardRouterTest, BackendSelfEnforcesItsRangeOnDirectRequests) {
   EXPECT_EQ(refused.status, 421) << refused.body;
   EXPECT_NE(refused.body.find("belongs to shard 1"), std::string::npos)
       << refused.body;
-  EXPECT_EQ((*server)->admission_stats().misrouted, 1u);
-  EXPECT_EQ((*server)->admission_stats().admitted, 1u);
+  EXPECT_EQ(Metric(**server, "htd_admission_requests_total", "result=\"misrouted\""), 1);
+  EXPECT_EQ(Metric(**server, "htd_admission_requests_total", "result=\"admitted\""), 1);
 
   // A crafted in-range fingerprint header WITHOUT the digest header proves
   // nothing: the backend still fingerprints the instance itself, so the
@@ -303,8 +324,8 @@ TEST(ShardRouterTest, BackendSelfEnforcesItsRangeOnDirectRequests) {
   crafted.headers["x-htd-shard-fingerprint"] = in_range.ToHex();
   EXPECT_EQ((*server)->Handle(crafted).status, 421)
       << "fingerprint header alone must not be trusted";
-  EXPECT_EQ((*server)->admission_stats().misrouted, 2u);
-  EXPECT_EQ((*server)->admission_stats().admitted, 1u);
+  EXPECT_EQ(Metric(**server, "htd_admission_requests_total", "result=\"misrouted\""), 2);
+  EXPECT_EQ(Metric(**server, "htd_admission_requests_total", "result=\"admitted\""), 1);
 }
 
 TEST(ShardRouterTest, ServerRejectsShardConfigWithoutValidIndex) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -78,13 +79,17 @@ TEST(TraceRingTest, LongNameIsTruncatedNotOverrun) {
 // One writer spinning on Push while readers snapshot: every span a reader
 // sees must satisfy the writer's invariant (tag == id). A torn read would
 // surface as a mismatch; TSan additionally checks the memory ordering.
+// Readers start only after the writer's first Push, so they cannot finish
+// all their snapshots against an empty ring.
 TEST(TraceRingTest, ConcurrentReadersSeeConsistentSlots) {
   TraceRing ring;
   std::atomic<bool> stop{false};
+  std::atomic<bool> pushed{false};
   std::thread writer([&] {
     uint64_t i = 1;
     while (!stop.load(std::memory_order_relaxed)) {
       ring.Push(MakeSpan(i, 0, i, "race", /*tag=*/i));
+      pushed.store(true, std::memory_order_release);
       ++i;
     }
   });
@@ -92,6 +97,7 @@ TEST(TraceRingTest, ConcurrentReadersSeeConsistentSlots) {
   std::atomic<uint64_t> spans_seen{0};
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
+      while (!pushed.load(std::memory_order_acquire)) std::this_thread::yield();
       for (int iter = 0; iter < 200; ++iter) {
         std::vector<TraceSpan> out;
         ring.ReadInto(&out);
@@ -327,19 +333,20 @@ TEST(MetricsRegistryTest, CounterIdentityByNameAndLabels) {
   EXPECT_EQ(c.Value(), 0u);
 }
 
-TEST(MetricsRegistryTest, SnapshotReadsInRegistrationOrder) {
+TEST(MetricsRegistryTest, CollectReadsInRegistrationOrder) {
   MetricsRegistry registry;
   registry.GetCounter("part_total").Add(3);
   registry.GetCounter("whole_total").Add(5);
   registry.RegisterCallback("gauge_now", "", "gauge", [] { return 1.5; });
-  auto samples = registry.Snapshot();
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_EQ(samples[0].name, "part_total");
-  EXPECT_EQ(samples[0].value, 3.0);
-  EXPECT_EQ(samples[1].name, "whole_total");
-  EXPECT_EQ(samples[1].value, 5.0);
-  EXPECT_EQ(samples[2].name, "gauge_now");
-  EXPECT_EQ(samples[2].value, 1.5);
+  auto families = registry.Collect();
+  ASSERT_EQ(families.size(), 3u);
+  EXPECT_EQ(families[0].name, "part_total");
+  EXPECT_EQ(families[0].samples.at(0).value, 3.0);
+  EXPECT_EQ(families[1].name, "whole_total");
+  EXPECT_EQ(families[1].samples.at(0).value, 5.0);
+  EXPECT_EQ(families[2].name, "gauge_now");
+  EXPECT_EQ(families[2].type, "gauge");
+  EXPECT_EQ(families[2].samples.at(0).value, 1.5);
 }
 
 TEST(MetricsRegistryTest, RenderPrometheusShape) {
@@ -395,6 +402,108 @@ TEST(FormatMetricValueTest, IntegersBareDoublesWithPoint) {
   EXPECT_EQ(FormatMetricValue(4.0), "4");
   EXPECT_EQ(FormatMetricValue(0.0), "0");
   EXPECT_EQ(FormatMetricValue(1.5), "1.5");
+}
+
+/// Labelled and unlabelled counters and gauges plus one histogram.
+void PopulateMixed(MetricsRegistry* registry) {
+  registry->SetHelp("req_total", "Requests served.");
+  registry->GetCounter("req_total", "route=\"a\"").Add(4);
+  registry->GetCounter("req_total", "route=\"b\"").Add(7);
+  registry->GetCounter("plain_total").Add(3);
+  registry->RegisterCallback("depth", "", "gauge", [] { return 1.5; });
+  registry->RegisterCallback("conns", "state=\"idle\"", "gauge",
+                             [] { return 2.0; });
+  registry->RegisterCallback("conns", "state=\"busy\"", "gauge",
+                             [] { return 0.0; });
+  registry->GetHistogram("lat_seconds", "stage=\"x\"").Observe(0.5);
+}
+
+TEST(PrometheusTextTest, ParseInvertsRenderForEveryCounterAndGauge) {
+  MetricsRegistry registry;
+  PopulateMixed(&registry);
+  const std::string page = registry.RenderPrometheus();
+  std::vector<MetricFamily> parsed = ParsePrometheusText(page);
+  const std::vector<MetricFamily> expected = registry.Collect();
+
+  // Every family comes back with its type, and every counter and gauge
+  // sample with its name, labels and value; a histogram's bucket/sum/count
+  // series stay inside their family.
+  ASSERT_EQ(parsed.size(), expected.size());
+  size_t counters_and_gauges = 0;
+  for (size_t f = 0; f < expected.size(); ++f) {
+    EXPECT_EQ(parsed[f].name, expected[f].name);
+    EXPECT_EQ(parsed[f].type, expected[f].type);
+    ASSERT_EQ(parsed[f].samples.size(), expected[f].samples.size());
+    if (expected[f].type == "histogram") {
+      EXPECT_EQ(parsed[f].samples.size(),
+                static_cast<size_t>(Histogram::kBucketCount + 2));
+      continue;
+    }
+    for (size_t i = 0; i < expected[f].samples.size(); ++i) {
+      const MetricSample& want = expected[f].samples[i];
+      EXPECT_EQ(parsed[f].samples[i].name, want.name);
+      EXPECT_EQ(parsed[f].samples[i].labels, want.labels);
+      EXPECT_EQ(parsed[f].samples[i].value, want.value) << want.name;
+      ++counters_and_gauges;
+    }
+  }
+  EXPECT_EQ(counters_and_gauges, 6u);
+  EXPECT_EQ(parsed[0].name, "req_total");
+  EXPECT_EQ(parsed[0].type, "counter");
+  EXPECT_EQ(parsed[0].help, "Requests served.");
+  // Rendering the parsed families reproduces the page byte for byte.
+  EXPECT_EQ(RenderPrometheusText(parsed), page);
+}
+
+TEST(PrometheusTextTest, TruncatedAndBitFlippedPagesSkipMalformedLines) {
+  MetricsRegistry registry;
+  PopulateMixed(&registry);
+  const std::string page = registry.RenderPrometheus();
+  std::mt19937_64 rng(20240611);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string text = page.substr(0, rng() % (page.size() + 1));
+    const int flips = static_cast<int>(rng() % 8);
+    for (int f = 0; f < flips && !text.empty(); ++f) {
+      text[rng() % text.size()] ^= static_cast<char>(1u << (rng() % 8));
+    }
+    // Whatever survives is well-formed: each sample renders to one line
+    // that parses back to the same series.
+    for (const MetricFamily& family : ParsePrometheusText(text)) {
+      for (const MetricSample& sample : family.samples) {
+        std::vector<MetricFamily> again = ParsePrometheusText(
+            RenderPrometheusText({MetricFamily{sample.name, "", "", {sample}}}));
+        ASSERT_EQ(again.size(), 1u) << sample.name << "{" << sample.labels << "}";
+        ASSERT_EQ(again[0].samples.size(), 1u);
+        EXPECT_EQ(again[0].samples[0].name, sample.name);
+        EXPECT_EQ(again[0].samples[0].labels, sample.labels);
+      }
+    }
+  }
+  // Malformed lines are dropped; the well-formed lines around them are kept.
+  std::vector<MetricFamily> parsed = ParsePrometheusText(
+      "a_total 1\n"
+      "broken{x=\"1\" 2\n"
+      "b_total{k=\"v\"} nope\n"
+      "unterminated{k=\"v} 5\n"
+      "# TYPE c_total sideways\n"
+      "c_total{k=\"v\",j=\"w\"} 3\n"
+      " d 4\n"
+      "9e 1\n");
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[0].name, "a_total");
+  EXPECT_EQ(parsed[0].samples[0].value, 1.0);
+  EXPECT_EQ(parsed[1].name, "c_total");
+  EXPECT_EQ(parsed[1].type, "");
+  EXPECT_EQ(parsed[1].samples[0].labels, "k=\"v\",j=\"w\"");
+}
+
+TEST(MetricsRegistryTest, ValueReadsOneSeries) {
+  MetricsRegistry registry;
+  PopulateMixed(&registry);
+  EXPECT_EQ(registry.Value("req_total", "route=\"b\""), 7.0);
+  EXPECT_EQ(registry.Value("depth"), 1.5);
+  EXPECT_TRUE(std::isnan(registry.Value("req_total")));
+  EXPECT_TRUE(std::isnan(registry.Value("lat_seconds", "stage=\"x\"")));
 }
 
 }  // namespace

@@ -46,6 +46,7 @@
 #include "service/canonical.h"
 #include "service/shard_map.h"
 #include "util/cli.h"
+#include "util/metrics.h"
 
 namespace {
 
@@ -262,19 +263,16 @@ bool Exchange(const Args& args, const std::string& host, int port,
 /// gauge — the 30-second "is the fleet healthy" read. --verbose prints the
 /// raw page instead.
 std::string PrettyMetrics(const std::string& text) {
-  std::string out;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty() || line[0] == '#') continue;
-    if (line.find("_bucket{") != std::string::npos) continue;
-    out += line;
-    out += '\n';
+  std::vector<htd::util::MetricFamily> families =
+      htd::util::ParsePrometheusText(text);
+  for (htd::util::MetricFamily& family : families) {
+    family.help.clear();
+    family.type.clear();
+    std::erase_if(family.samples, [](const htd::util::MetricSample& sample) {
+      return sample.name.ends_with("_bucket");
+    });
   }
-  return out;
+  return htd::util::RenderPrometheusText(families);
 }
 
 std::string FormatSeconds(double seconds) {

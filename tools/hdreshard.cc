@@ -23,9 +23,9 @@
 //   5. finalise  POST /v1/admin/migrate?finalise=1 on every old backend
 //                that stays in the fleet; backends that left the map are
 //                reported for shutdown instead.
-//   6. verify    GET /v1/stats on every new endpoint: prints imported /
-//                migrated-out counters so the operator can see the warm
-//                state actually moved.
+//   6. verify    GET /v1/metrics on every new endpoint: prints the
+//                imported counters (htd_migration_entries_total) so the
+//                operator can see the warm state actually moved.
 //
 // Backends keep serving throughout — donors retain their entries until the
 // flip, so warm hits survive the whole transition. Exits non-zero on the
@@ -37,9 +37,9 @@
 #include <vector>
 
 #include "net/http_client.h"
-#include "net/json.h"
 #include "service/shard_map.h"
 #include "util/cli.h"
+#include "util/metrics.h"
 
 namespace {
 
@@ -69,7 +69,7 @@ void Usage(const char* argv0) {
 /// One HTTP step against a backend or the router; prints and fails loudly.
 bool Step(const Args& args, const std::string& what, const std::string& host,
           int port, const std::string& method, const std::string& target,
-          const std::string& body, std::string* response_body = nullptr) {
+          const std::string& body) {
   htd::net::FetchOptions fetch;
   fetch.read_timeout_seconds = args.timeout;
   htd::net::FetchResult result =
@@ -87,16 +87,29 @@ bool Step(const Args& args, const std::string& what, const std::string& host,
   }
   std::printf("hdreshard: %s (%s:%d): ok %s", what.c_str(), host.c_str(), port,
               result.body.c_str());
-  if (response_body != nullptr) *response_body = result.body;
   return true;
 }
 
-/// Pulls `"key": <integer>` out of a fleet-rendered JSON body via the
-/// shared scanner (net/json.h); -1 when absent.
-long long JsonNumber(const std::string& body, const std::string& key) {
-  double value;
-  if (!htd::net::FindJsonNumber(body, key, &value)) return -1;
-  return static_cast<long long>(value);
+/// One htd_migration_entries_total series (`direction` = imported_cache,
+/// imported_store or migrated_out) from the backend's /v1/metrics page, read
+/// with the shared parser (util/metrics.h); -1 when unreachable.
+long long MigrationCounter(const Args& args,
+                           const htd::service::ShardEndpoint& endpoint,
+                           const std::string& direction) {
+  htd::net::FetchOptions fetch;
+  fetch.read_timeout_seconds = args.timeout;
+  htd::net::FetchResult page = htd::net::HttpFetch(
+      endpoint.host, endpoint.port, "GET", "/v1/metrics", "", {}, fetch);
+  if (!page.ok() || page.status != 200) return -1;
+  for (const auto& family : htd::util::ParsePrometheusText(page.body)) {
+    if (family.name != "htd_migration_entries_total") continue;
+    for (const auto& sample : family.samples) {
+      if (sample.labels == "direction=\"" + direction + "\"") {
+        return static_cast<long long>(sample.value);
+      }
+    }
+  }
+  return 0;
 }
 
 }  // namespace
@@ -244,7 +257,9 @@ int main(int argc, char** argv) {
   // 3. Migrate every old backend (streams the entries leaving its range).
   long long total_out = 0;
   for (const OldBackend& backend : old_backends) {
-    std::string response;
+    // The pushed-out count is the donor's migrated_out delta across the call.
+    const long long out_before =
+        MigrationCounter(args, backend.endpoint, "migrated_out");
     // `self` lets the backend push its RETAINED slice to new sibling
     // replicas of its own range (it skips itself by endpoint identity).
     if (!Step(args,
@@ -253,14 +268,17 @@ int main(int argc, char** argv) {
               "/v1/admin/migrate?new_index=" + std::to_string(backend.new_index) +
                   "&self=" + backend.endpoint.host + ":" +
                   std::to_string(backend.endpoint.port),
-              to->Serialise(), &response)) {
+              to->Serialise())) {
       std::fprintf(stderr, "hdreshard: migration incomplete — fix the backend "
                            "and re-run (all steps are idempotent), or revert "
                            "the router with /v1/admin/transition?abort=1\n");
       return 1;
     }
-    long long out = JsonNumber(response, "entries_out");
-    if (out > 0) total_out += out;
+    const long long out_after =
+        MigrationCounter(args, backend.endpoint, "migrated_out");
+    if (out_before >= 0 && out_after > out_before) {
+      total_out += out_after - out_before;
+    }
   }
 
   // 4. Flip the router onto the new map.
@@ -290,24 +308,21 @@ int main(int argc, char** argv) {
   for (int index = 0; index < to->num_shards(); ++index) {
     for (int r = 0; r < to->num_replicas(index); ++r) {
       const htd::service::ShardEndpoint& endpoint = to->replica(index, r);
-      htd::net::FetchOptions fetch;
-      fetch.read_timeout_seconds = args.timeout;
-      htd::net::FetchResult stats = htd::net::HttpFetch(
-          endpoint.host, endpoint.port, "GET", "/v1/stats", "", {}, fetch);
-      if (!stats.ok() || stats.status != 200) {
+      const long long cache_in =
+          MigrationCounter(args, endpoint, "imported_cache");
+      const long long store_in =
+          MigrationCounter(args, endpoint, "imported_store");
+      if (cache_in < 0 || store_in < 0) {
         std::fprintf(stderr, "hdreshard: verify %s:%d: unreachable\n",
                      endpoint.host.c_str(), endpoint.port);
         verified = false;
         continue;
       }
-      const long long cache_in = JsonNumber(stats.body, "imported_cache_entries");
-      const long long store_in = JsonNumber(stats.body, "imported_store_entries");
       std::printf("hdreshard: verify range %d (%s:%d): imported %lld cache + "
                   "%lld store entries\n",
-                  index, endpoint.host.c_str(), endpoint.port,
-                  cache_in > 0 ? cache_in : 0, store_in > 0 ? store_in : 0);
-      if (cache_in > 0) total_in += cache_in;
-      if (store_in > 0) total_in += store_in;
+                  index, endpoint.host.c_str(), endpoint.port, cache_in,
+                  store_in);
+      total_in += cache_in + store_in;
     }
   }
   std::printf("hdreshard: done — %lld entries pushed out, %lld accepted by "

@@ -147,6 +147,8 @@ def shard_of(fingerprint_hex, num_shards):
 
 
 STAGES = ("parse", "fingerprint", "cache", "schedule", "solve", "serialise")
+ADMISSION = "htd_admission_requests_total"
+RESTORED = "htd_snapshot_restored_entries"
 
 
 def scrape(port, path):
@@ -154,6 +156,13 @@ def scrape(port, path):
     with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}",
                                 timeout=10) as resp:
         return resp.status, dict(resp.headers), resp.read().decode()
+
+
+def metric(stats, family, label=None):
+    """One series of a /v1/stats body's metrics object (backend or router):
+    the registry family as named on /v1/metrics, indexed by label value."""
+    value = stats["metrics"][family]
+    return value if label is None else value[label]
 
 
 def parse_prometheus(text, source):
@@ -289,24 +298,23 @@ def shard_phase(workdir):
     stats = {i: json.loads(client(p, "stats").stdout)
              for i, p in ((0, port_a), (1, port_b))}
     for index in (0, 1):
-        hits = stats[index]["scheduler"]["cache_hits"]
+        hits = metric(stats[index], "htd_scheduler_cache_hits_total")
         if hits < len(by_shard[index]):
             fail(f"shard {index}: expected >= {len(by_shard[index])} cache "
                  f"hits, got {hits} (routing not deterministic?)")
         if not stats[index]["shard"]["enabled"]:
             fail(f"shard {index}: /v1/stats does not report sharding")
     router_stats = json.loads(client(port_r, "stats").stdout)
-    agg = router_stats["aggregate"]
-    want_hits = stats[0]["scheduler"]["cache_hits"] + \
-        stats[1]["scheduler"]["cache_hits"]
-    if agg["scheduler_cache_hits"] != want_hits:
-        fail(f"aggregated cache_hits {agg['scheduler_cache_hits']} != "
-             f"sum of shards {want_hits}")
-    want_admitted = stats[0]["admission"]["admitted"] + \
-        stats[1]["admission"]["admitted"]
-    if agg["admission_admitted"] != want_admitted:
-        fail(f"aggregated admitted {agg['admission_admitted']} != "
-             f"{want_admitted}")
+    agg_hits = metric(router_stats, "htd_scheduler_cache_hits_total")
+    want_hits = sum(metric(stats[i], "htd_scheduler_cache_hits_total")
+                    for i in (0, 1))
+    if agg_hits != want_hits:
+        fail(f"aggregated cache_hits {agg_hits} != sum of shards {want_hits}")
+    agg_admitted = metric(router_stats, ADMISSION, "admitted")
+    want_admitted = sum(metric(stats[i], ADMISSION, "admitted")
+                        for i in (0, 1))
+    if agg_admitted != want_admitted:
+        fail(f"aggregated admitted {agg_admitted} != {want_admitted}")
 
     # Snapshot through the router: every shard persists its own range.
     client(port_r, "snapshot", "--quiet")
@@ -320,15 +328,16 @@ def shard_phase(workdir):
     stop_server(shards[0])
     shards[0] = start_shard(0, port_a)
     restarted = json.loads(client(port_a, "stats").stdout)
-    if restarted["snapshot"]["restored_cache_entries"] < len(by_shard[0]):
-        fail(f"shard 0 restored "
-             f"{restarted['snapshot']['restored_cache_entries']} entries, "
+    restored = metric(restarted, RESTORED, "cache")
+    if restored < len(by_shard[0]):
+        fail(f"shard 0 restored {restored} entries, "
              f"expected >= {len(by_shard[0])}")
     for name in by_shard[0]:
         client(port_r, "decompose", str(workdir / name), "--k", "2",
                "--expect-cache-hit", "--quiet")
     after_b = json.loads(client(port_b, "stats").stdout)
-    if after_b["admission"]["admitted"] != before_b["admission"]["admitted"]:
+    if metric(after_b, ADMISSION, "admitted") != \
+            metric(before_b, ADMISSION, "admitted"):
         fail("shard 1 saw traffic during shard 0's warm restart")
 
     # Observability rides on the warm fleet: stage histograms are already
@@ -412,6 +421,13 @@ def reshard_phase(workdir):
         if reshard.returncode != 0:
             fail(f"hdreshard exited {reshard.returncode}:\n"
                  f"{reshard.stdout}{reshard.stderr}")
+        # Its summary reads the donors' and receivers' migration counters
+        # off /v1/metrics: entries left the donors and the new owners took
+        # them in.
+        done = re.search(r"(\d+) entries pushed out, (\d+) accepted",
+                         reshard.stdout)
+        if not done or int(done.group(1)) == 0 or int(done.group(2)) == 0:
+            fail(f"hdreshard reported no moved entries:\n{reshard.stdout}")
     finally:
         stop.set()
         thread.join()
@@ -760,7 +776,7 @@ def keepalive_scale_phase(workdir, snapshot):
     server = start_server(port, *args)
     hold_and_check(port, "warm")
     stats = json.loads(client(port, "stats").stdout)
-    if stats["snapshot"]["restored_cache_entries"] < 1:
+    if metric(stats, RESTORED, "cache") < 1:
         fail("phase 8: warm restart restored no cache entries")
     stop_server(server)
     print(f"phase 8 OK: {target} idle keep-alives held through a warm "
@@ -802,7 +818,7 @@ def main():
         client(port, "decompose", str(workdir / name), "--k", "3",
                "--expect-cache-hit", "--quiet")
     stats = json.loads(client(port, "stats").stdout)
-    restored = stats["snapshot"]["restored_cache_entries"]
+    restored = metric(stats, RESTORED, "cache")
     if restored < len(corpus):
         fail(f"expected >= {len(corpus)} restored cache entries, got {restored}")
     # Idle fleet: every cache hit has resolved, so no executor worker should
@@ -841,8 +857,8 @@ def main():
     if shed == 0:
         fail("flood: queue bound never shed load (server queues unboundedly?)")
     stats = json.loads(client(port, "stats").stdout)
-    if stats["admission"]["shed"] != shed:
-        fail(f"stats disagree: {stats['admission']['shed']} != {shed}")
+    if metric(stats, ADMISSION, "shed") != shed:
+        fail(f"stats disagree: {metric(stats, ADMISSION, 'shed')} != {shed}")
     # Saturated fleet: the pinned clique24 solves are still running, so the
     # whole executor (1 worker) must be busy — no idle capacity while work
     # is queued.
