@@ -28,6 +28,7 @@
 #include "benchlib/corpus.h"
 #include "hypergraph/parser.h"
 #include "service/service.h"
+#include "util/executor.h"
 #include "util/timer.h"
 
 namespace {
@@ -49,7 +50,7 @@ void Usage(const char* argv0) {
       stderr,
       "usage: %s (--dir PATH | --manifest FILE | --corpus) [options]\n"
       "  --k N            decision width per job (default 3)\n"
-      "  --workers N      scheduler worker threads (default 4)\n"
+      "  --workers N      executor worker threads (default 4)\n"
       "  --threads N      intra-solve threads per job (default 1)\n"
       "  --passes N       times to submit the full set (default 2)\n"
       "  --timeout SECS   per-job deadline, 0 = none (default 10)\n"
@@ -197,9 +198,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Size the process-wide executor before anything touches it: every solve
+  // the service runs lands there.
+  htd::util::Executor::InitGlobal(args.workers);
   htd::service::ServiceOptions options;
   options.solver_name = args.solver;
-  options.num_workers = args.workers;
   options.solve.num_threads = args.solve_threads;
   options.cache_capacity = 4 * instances.size();
   auto service = htd::service::DecompositionService::Create(options);

@@ -1,22 +1,21 @@
 #include "net/decomposition_server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
+#include <initializer_list>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include <algorithm>
-
 #include "decomp/decomp_writer.h"
 #include "hypergraph/parser.h"
 #include "net/http_client.h"
-#include "qa/wire.h"
-#include "service/anti_entropy.h"
 #include "net/json.h"
+#include "net/routes.h"
 #include "net/trace_json.h"
+#include "service/anti_entropy.h"
 #include "util/cli.h"
 #include "util/timer.h"
 
@@ -38,60 +37,87 @@ HttpResponse ErrorResponse(int status, const std::string& message) {
   return JsonErrorResponse(status, message);
 }
 
-/// Server-Timing header value (RFC draft syntax: name;dur=millis) for the
-/// full stage breakdown of one synchronous decompose.
-std::string StageTimingHeader(double parse_seconds,
-                              const service::StageBreakdown& stages,
-                              double serialise_seconds) {
-  auto dur = [](const char* name, double seconds) {
+/// Server-Timing header value (RFC draft syntax: name;dur=millis, comma
+/// separated) for the stage breakdown of one synchronous request.
+std::string ServerTiming(
+    std::initializer_list<std::pair<const char*, double>> stages) {
+  std::string out;
+  for (const auto& [name, seconds] : stages) {
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s;dur=%.3f", name, seconds * 1e3);
-    return std::string(buf);
-  };
-  return dur("parse", parse_seconds) + ", " +
-         dur("fingerprint", stages.fingerprint_seconds) + ", " +
-         dur("cache", stages.cache_seconds) + ", " +
-         dur("schedule", stages.schedule_seconds) + ", " +
-         dur("solve", stages.solve_seconds) + ", " +
-         dur("serialise", serialise_seconds);
-}
-
-/// Server-Timing for one synchronous /v1/query: the query engine's stage
-/// split plus the transport-side parse/serialise bookends.
-std::string QueryTimingHeader(double parse_seconds,
-                              const qa::QueryAnswer& answer,
-                              double serialise_seconds) {
-  auto dur = [](const char* name, double seconds) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s;dur=%.3f", name, seconds * 1e3);
-    return std::string(buf);
-  };
-  return dur("parse", parse_seconds) + ", " +
-         dur("decompose", answer.decompose_seconds) + ", " +
-         dur("pick", answer.pick_seconds) + ", " +
-         dur("execute", answer.execute_seconds) + ", " +
-         dur("serialise", serialise_seconds);
-}
-
-/// Strict non-negative integer parse; -1 on garbage.
-int ParseInt(const std::string& text) {
-  if (text.empty()) return -1;
-  char* end = nullptr;
-  long value = std::strtol(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size() || value < 0 || value > 1'000'000'000) {
-    return -1;
+    std::snprintf(buf, sizeof(buf), "%s%s;dur=%.3f", out.empty() ? "" : ", ",
+                  name, seconds * 1e3);
+    out += buf;
   }
-  return static_cast<int>(value);
+  return out;
 }
 
-double ParseSeconds(const std::string& text, double fallback) {
-  if (text.empty()) return fallback;
-  char* end = nullptr;
-  double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || value < 0 || !(value < 1e9)) {
-    return -1.0;
+/// ?timeout= in seconds, the service default when absent; nullopt unless a
+/// number in [0, 1e9).
+std::optional<double> ParseTimeout(const HttpRequest& request,
+                                   double fallback) {
+  const std::string text = request.QueryOr("timeout", "");
+  double timeout = fallback;
+  if (!text.empty() &&
+      !(util::ParseDoubleFlag(text, 0.0, &timeout) && timeout < 1e9)) {
+    return std::nullopt;
   }
-  return value;
+  return timeout;
+}
+
+template <typename Future>
+bool Ready(const Future& future) {
+  return future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+/// The members of one resolved decompose job (docs/SERVER.md).
+void WriteResult(JsonWriter& json, const service::JobResult& job,
+                 const Hypergraph& graph, bool include_decomposition) {
+  json.Field("outcome", OutcomeName(job.result.outcome));
+  if (job.result.decomposition.has_value()) {
+    json.Field("width", job.result.decomposition->Width());
+  }
+  json.Field("cache_hit", job.cache_hit)
+      .Field("deduplicated", job.deduplicated)
+      .Field("seconds", job.seconds)
+      .Field("threads_used", job.threads_used)
+      .Field("fingerprint", job.fingerprint.ToHex());
+  if (include_decomposition && job.result.decomposition.has_value()) {
+    json.Raw("decomposition",
+             WriteDecompositionJson(graph, *job.result.decomposition));
+  }
+}
+
+/// The members of one query answer (docs/QUERIES.md).
+void WriteQueryAnswer(JsonWriter& json, const qa::QueryAnswer& answer) {
+  json.Field("outcome", qa::QueryOutcomeName(answer.outcome));
+  if (answer.outcome == qa::QueryOutcome::kSatisfiable) {
+    // Witness keys are rendered sorted so the body is deterministic.
+    std::vector<std::pair<std::string, int64_t>> vars(answer.witness.begin(),
+                                                      answer.witness.end());
+    std::sort(vars.begin(), vars.end());
+    json.Object("witness");
+    for (const auto& [var, value] : vars) json.Field(var, value);
+    json.End();
+  }
+  if (answer.counted) {
+    json.Field("count", answer.count.value)
+        .Field("count_saturated", answer.count.saturated);
+  }
+  if (answer.portfolio_size > 0) {
+    json.Field("width", answer.width)
+        .Field("fractional_width", answer.fractional_width)
+        .Field("estimated_cost", answer.estimated_cost)
+        .Object("portfolio")
+        .Field("picked", answer.picked_index)
+        .Field("size", answer.portfolio_size)
+        .End();
+  }
+  json.Field("fingerprint", answer.fingerprint.ToHex())
+      .Field("cache_hit", answer.decompose_cache_hit)
+      .Field("probes", answer.probes)
+      .Field("decompose_seconds", answer.decompose_seconds)
+      .Field("pick_seconds", answer.pick_seconds)
+      .Field("execute_seconds", answer.execute_seconds);
 }
 
 std::string HexRange(const service::FingerprintRange& range) {
@@ -216,17 +242,12 @@ util::StatusOr<std::unique_ptr<DecompositionServer>> DecompositionServer::Create
   }
   std::optional<service::ShardEndpoint> ae_self;
   if (!options.anti_entropy_self.empty()) {
-    const std::string& self_text = options.anti_entropy_self;
-    size_t colon = self_text.rfind(':');
-    long self_port;
-    if (colon == std::string::npos || colon == 0 ||
-        !util::ParseIntFlag(self_text.substr(colon + 1), 1, 65535,
-                            &self_port)) {
+    ae_self = service::ShardEndpoint::Parse(options.anti_entropy_self);
+    if (!ae_self.has_value()) {
       return util::Status::InvalidArgument(
-          "anti_entropy_self must be host:port, got \"" + self_text + "\"");
+          "anti_entropy_self must be host:port, got \"" +
+          options.anti_entropy_self + "\"");
     }
-    ae_self = service::ShardEndpoint{self_text.substr(0, colon),
-                                     static_cast<int>(self_port)};
   }
   // One Retry-After story for both shedding layers (queue bound here,
   // connection bound in the transport).
@@ -333,20 +354,17 @@ void DecompositionServer::BindMetrics() {
       [this] { return static_cast<double>(http_->accept_failures()); });
   metrics.SetHelp("htd_connections",
                   "Live connections by state on the epoll loop ring.");
-  metrics.RegisterCallback("htd_connections", "state=\"idle\"", "gauge", [this] {
-    return static_cast<double>(http_->connection_counts().idle);
-  });
-  metrics.RegisterCallback(
-      "htd_connections", "state=\"reading\"", "gauge",
-      [this] { return static_cast<double>(http_->connection_counts().reading); });
-  metrics.RegisterCallback("htd_connections", "state=\"dispatched\"", "gauge",
-                           [this] {
-                             return static_cast<double>(
-                                 http_->connection_counts().dispatched);
-                           });
-  metrics.RegisterCallback(
-      "htd_connections", "state=\"writing\"", "gauge",
-      [this] { return static_cast<double>(http_->connection_counts().writing); });
+  using Counts = HttpServer::ConnectionCounts;
+  for (const auto& [state, count] : {std::pair{"idle", &Counts::idle},
+                                     std::pair{"reading", &Counts::reading},
+                                     std::pair{"dispatched", &Counts::dispatched},
+                                     std::pair{"writing", &Counts::writing}}) {
+    metrics.RegisterCallback(
+        "htd_connections", std::string("state=\"") + state + "\"", "gauge",
+        [this, count] {
+          return static_cast<double>(http_->connection_counts().*count);
+        });
+  }
   metrics.SetHelp("htd_snapshot_restored_entries",
                   "Warm-state entries the startup snapshot restore loaded "
                   "(cache, store) or dropped as outside this shard's range.");
@@ -385,9 +403,14 @@ void DecompositionServer::Stop() {
   // The sweep loop polls stopping_ between pulls; join it before tearing the
   // transport down so no pull races the listener drain.
   if (anti_entropy_thread_.joinable()) anti_entropy_thread_.join();
+  // Async query jobs run on the executor, not under HttpServer's WaitIdle;
+  // their closing fetch_sub is the last touch of `this`, so the destructor
+  // must not return while any are in flight either. The sweep keeps going
+  // until both drained, so a job parked on a probe future unblocks too.
   std::atomic<bool> http_stopped{false};
   std::thread canceller([&] {
-    while (!http_stopped.load(std::memory_order_acquire)) {
+    while (!http_stopped.load(std::memory_order_acquire) ||
+           outstanding_query_jobs_.load(std::memory_order_acquire) > 0) {
       service_->CancelAll();
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
@@ -395,14 +418,6 @@ void DecompositionServer::Stop() {
   http_->Stop();
   http_stopped.store(true, std::memory_order_release);
   canceller.join();
-  // Async query jobs run on the executor, not under HttpServer's WaitIdle;
-  // their closing fetch_sub is the last touch of `this`, so the destructor
-  // must not return while any are in flight. Keep cancelling so a job parked
-  // on a probe future unblocks.
-  while (outstanding_query_jobs_.load(std::memory_order_acquire) > 0) {
-    service_->CancelAll();
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
   service_->CancelAll();
   service_->Drain();
 }
@@ -469,67 +484,18 @@ HttpResponse DecompositionServer::Handle(const HttpRequest& request) {
 
 HttpResponse DecompositionServer::Dispatch(const HttpRequest& request) {
   if (request.path == "/healthz") {
-    HttpResponse response;
-    response.body = "{\"ok\": true}\n";
-    return response;
+    JsonWriter json;
+    json.Object().Field("ok", true);
+    return JsonResponse(json);
   }
-  if (request.path == "/v1/decompose") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/decompose");
-    }
-    // Adopt the request id when a proxy (the shard router) already assigned
-    // one — the fleet's spans then stitch onto one root — else mint our own.
-    uint64_t request_id = 0;
-    auto rid = request.headers.find("x-htd-request-id");
-    if (rid == request.headers.end() ||
-        !util::ParseTraceId(rid->second, &request_id)) {
-      request_id = util::TraceRegistry::Instance().NextId();
-    }
-    std::string server_timing;
-    HttpResponse response;
-    {
-      util::TraceScope root_span("request", util::TraceRootId{request_id},
-                                 static_cast<uint64_t>(request.body.size()));
-      response = HandleDecompose(request, request_id, &server_timing);
-    }
-    response.headers.emplace_back("X-HTD-Request-Id",
-                                  util::TraceIdHex(request_id));
-    if (!server_timing.empty()) {
-      response.headers.emplace_back("Server-Timing", server_timing);
-    }
-    return response;
-  }
-  if (request.path == "/v1/query") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/query");
-    }
-    uint64_t request_id = 0;
-    auto rid = request.headers.find("x-htd-request-id");
-    if (rid == request.headers.end() ||
-        !util::ParseTraceId(rid->second, &request_id)) {
-      request_id = util::TraceRegistry::Instance().NextId();
-    }
-    std::string server_timing;
-    HttpResponse response;
-    {
-      util::TraceScope root_span("request", util::TraceRootId{request_id},
-                                 static_cast<uint64_t>(request.body.size()));
-      response = HandleQuery(request, request_id, &server_timing);
-    }
-    response.headers.emplace_back("X-HTD-Request-Id",
-                                  util::TraceIdHex(request_id));
-    if (!server_timing.empty()) {
-      response.headers.emplace_back("Server-Timing", server_timing);
-    }
-    return response;
+  if (request.path == "/v1/decompose" || request.path == "/v1/query") {
+    return OnlyMethod(request, "POST", [&] { return HandleAdmitted(request); });
   }
   if (request.path.rfind("/v1/jobs/", 0) == 0) {
     if (request.method != "GET") {
       return ErrorResponse(405, "use GET for /v1/jobs/<id>");
     }
-    const std::string id = request.path.substr(sizeof("/v1/jobs/") - 1);
-    if (!id.empty() && id[0] == 'q') return HandleQueryJob(id);
-    return HandleJob(id);
+    return HandleJob(request.path.substr(sizeof("/v1/jobs/") - 1));
   }
   if (request.path == "/v1/stats") {
     return OnlyMethod(request, "GET", [&] { return HandleStats(); });
@@ -561,24 +527,36 @@ HttpResponse DecompositionServer::Dispatch(const HttpRequest& request) {
   return ErrorResponse(404, "unknown route: " + request.path);
 }
 
-HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
-                                                  uint64_t request_id,
-                                                  std::string* server_timing) {
-  int k = ParseInt(request.QueryOr("k", ""));
-  if (k < 1 || k > options_.max_k) {
-    bad_requests_->Add();
-    return ErrorResponse(
-        400, "query parameter k must be an integer in [1, " +
-                 std::to_string(options_.max_k) + "]");
+HttpResponse DecompositionServer::HandleAdmitted(const HttpRequest& request) {
+  // Adopt the request id when a proxy (the shard router) already assigned
+  // one — the fleet's spans then stitch onto one root — else mint our own.
+  uint64_t request_id = 0;
+  auto rid = request.headers.find("x-htd-request-id");
+  if (rid == request.headers.end() ||
+      !util::ParseTraceId(rid->second, &request_id)) {
+    request_id = util::TraceRegistry::Instance().NextId();
   }
-  double timeout = ParseSeconds(request.QueryOr("timeout", ""),
-                                service_->options().default_timeout_seconds);
-  if (timeout < 0) {
-    bad_requests_->Add();
-    return ErrorResponse(400, "query parameter timeout must be seconds >= 0");
+  std::string server_timing;
+  HttpResponse response;
+  {
+    util::TraceScope root_span("request", util::TraceRootId{request_id},
+                               static_cast<uint64_t>(request.body.size()));
+    response = request.path == "/v1/query"
+                   ? HandleQuery(request, request_id, &server_timing)
+                   : HandleDecompose(request, request_id, &server_timing);
   }
-  const bool async = request.QueryOr("async", "0") == "1";
-  const bool include_decomposition = request.QueryOr("decomposition", "0") == "1";
+  response.headers.emplace_back("X-HTD-Request-Id",
+                                util::TraceIdHex(request_id));
+  if (!server_timing.empty()) {
+    response.headers.emplace_back("Server-Timing", server_timing);
+  }
+  return response;
+}
+
+template <typename Route>
+std::optional<HttpResponse> DecompositionServer::Admit(
+    const HttpRequest& request, uint64_t request_id, const Route& route,
+    std::shared_ptr<const typename Route::Body>* body, double* parse_seconds) {
   // In a sharded deployment, a sender that hashed against a different
   // topology must be told so, not silently served — an entry cached here
   // under a foreign range would never be found again after its snapshot is
@@ -625,8 +603,7 @@ HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
   }
   if (request.body.empty()) {
     bad_requests_->Add();
-    return ErrorResponse(400, "empty body: expected a hypergraph in "
-                              "HyperBench or PACE format");
+    return ErrorResponse(400, route.empty_body);
   }
 
   // Shedding comes BEFORE the body parse: an overloaded server must reject
@@ -656,14 +633,13 @@ HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
   auto parsed = [&] {
     util::TraceScope span("parse", util::TraceParent{request_id, request_id},
                           static_cast<uint64_t>(request.body.size()));
-    return ParseAuto(request.body);
+    return route.parse(request.body);
   }();
-  const double parse_seconds = parse_timer.ElapsedSeconds();
-  service_->ObserveParseSeconds(parse_seconds);
+  *parse_seconds = parse_timer.ElapsedSeconds();
+  service_->ObserveParseSeconds(*parse_seconds);
   if (!parsed.ok()) {
     bad_requests_->Add();
-    return ErrorResponse(400, "cannot parse hypergraph: " +
-                                  parsed.status().message());
+    return ErrorResponse(400, route.parse_error + parsed.status().message());
   }
   if (shard != nullptr && !sender_hashed) {
     // The sender did not prove it hashed with an accepted map (no digest
@@ -676,108 +652,103 @@ HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
     // digest matches, the sender demonstrably ran IndexFor on an accepted
     // topology; recomputing here would double-pay canonicalisation on
     // every routed request.)
-    const service::Fingerprint fp = service::CanonicalFingerprint(*parsed);
+    const service::Fingerprint fp = route.fingerprint(*parsed);
     if (!RangeAccepted(*shard, fp)) {
       misrouted_->Add();
       return ErrorResponse(
-          421, "misrouted: instance fingerprint " + fp.ToHex() +
-                   " belongs to shard " +
+          421, std::string("misrouted: ") + route.subject + " fingerprint " +
+                   fp.ToHex() + " belongs to shard " +
                    std::to_string(shard->map.IndexFor(fp)) +
                    ", this is shard " + std::to_string(shard->index) +
                    " (route via the shard map)");
     }
   }
-
-  auto graph = std::make_shared<const Hypergraph>(std::move(*parsed));
   admitted_->Add();
-  // Sync requests ride the executor's interactive lane (a client is parked
-  // on the answer); polled async jobs take the lower-priority async lane.
-  std::future<service::JobResult> future = service_->Submit(
-      *graph, k, timeout, util::TraceParent{request_id, request_id},
-      async ? util::Executor::Lane::kAsync : util::Executor::Lane::kSync);
+  *body = std::make_shared<const typename Route::Body>(std::move(*parsed));
+  return std::nullopt;
+}
 
-  if (!async) {
-    service::JobResult job = future.get();
-    HttpResponse response;
-    util::WallTimer serialise_timer;
-    {
-      util::TraceScope span("serialise",
-                            util::TraceParent{request_id, request_id});
-      response.body = RenderResult(job, *graph, include_decomposition);
-    }
-    const double serialise_seconds = serialise_timer.ElapsedSeconds();
-    service_->ObserveSerialiseSeconds(serialise_seconds);
-    if (server_timing != nullptr) {
-      *server_timing =
-          StageTimingHeader(parse_seconds, job.stages, serialise_seconds);
-    }
-    return response;
-  }
-
-  const std::string id = "j" + std::to_string(
-      next_job_id_.fetch_add(1, std::memory_order_relaxed));
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    AsyncJob record;
-    record.future = future.share();
-    record.graph = graph;
-    record.k = k;
-    record.include_decomposition = include_decomposition;
-    jobs_.emplace(id, std::move(record));
-    job_order_.push_back(id);
-    // Evict the oldest *resolved* records over the retention cap; unresolved
-    // jobs stay queryable (their count is bounded by admission control).
-    for (auto it = job_order_.begin();
-         jobs_.size() > options_.max_retained_jobs && it != job_order_.end();) {
-      auto found = jobs_.find(*it);
-      if (found != jobs_.end() &&
-          found->second.future.wait_for(std::chrono::seconds(0)) ==
-              std::future_status::ready) {
-        jobs_.erase(found);
-        it = job_order_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+HttpResponse DecompositionServer::Serialise(
+    uint64_t request_id, const std::function<void(JsonWriter&)>& write,
+    double* seconds) {
+  util::WallTimer timer;
   HttpResponse response;
-  response.status = 202;
-  response.body = "{\"job\": \"" + id + "\", \"state\": \"admitted\"}\n";
+  {
+    util::TraceScope span("serialise", util::TraceParent{request_id, request_id});
+    JsonWriter json;
+    write(json.Object());
+    response = JsonResponse(json);
+  }
+  *seconds = timer.ElapsedSeconds();
+  service_->ObserveSerialiseSeconds(*seconds);
   return response;
 }
 
-HttpResponse DecompositionServer::HandleJob(const std::string& id) {
-  AsyncJob record;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      return ErrorResponse(404, "unknown job id: " + id);
-    }
-    record = it->second;  // shared_future/shared_ptr copies are cheap
+HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
+                                                  uint64_t request_id,
+                                                  std::string* server_timing) {
+  long k;
+  if (!util::ParseIntFlag(request.QueryOr("k", ""), 1, options_.max_k, &k)) {
+    bad_requests_->Add();
+    return ErrorResponse(
+        400, "query parameter k must be an integer in [1, " +
+                 std::to_string(options_.max_k) + "]");
   }
-  if (record.future.wait_for(std::chrono::seconds(0)) !=
-      std::future_status::ready) {
-    HttpResponse response;
-    response.body = "{\"job\": \"" + id + "\", \"state\": \"running\"}\n";
-    return response;
+  const std::optional<double> timeout =
+      ParseTimeout(request, service_->options().default_timeout_seconds);
+  if (!timeout.has_value()) {
+    bad_requests_->Add();
+    return ErrorResponse(400, "query parameter timeout must be seconds >= 0");
   }
-  const service::JobResult& job = record.future.get();
-  HttpResponse response;
-  response.body = "{\"job\": \"" + id + "\", \"state\": \"done\", \"result\": " +
-                  RenderResult(job, *record.graph, record.include_decomposition);
-  // RenderResult ends with '\n'; splice the wrapper's closing brace in.
-  response.body.back() = '}';
-  response.body += "\n";
+  const bool async = request.QueryOr("async", "0") == "1";
+  const bool include_decomposition = request.QueryOr("decomposition", "0") == "1";
+  std::shared_ptr<const Hypergraph> graph;
+  double parse_seconds = 0;
+  if (auto refused =
+          Admit(request, request_id, kDecomposeRoute, &graph, &parse_seconds)) {
+    return *refused;
+  }
+
+  // Sync requests ride the executor's interactive lane (a client is parked
+  // on the answer); polled async jobs take the lower-priority async lane.
+  std::future<service::JobResult> future = service_->Submit(
+      *graph, static_cast<int>(k), *timeout,
+      util::TraceParent{request_id, request_id},
+      async ? util::Executor::Lane::kAsync : util::Executor::Lane::kSync);
+  if (async) {
+    std::shared_future<service::JobResult> job = future.share();
+    return FileJob(
+        "j", {[job] { return Ready(job); },
+              [job, graph, include_decomposition](JsonWriter& json) {
+                WriteResult(json.Object("result"), job.get(), *graph,
+                            include_decomposition);
+                json.End();
+              }});
+  }
+
+  const service::JobResult job = future.get();
+  double serialise_seconds = 0;
+  HttpResponse response = Serialise(
+      request_id,
+      [&](JsonWriter& json) {
+        WriteResult(json, job, *graph, include_decomposition);
+      },
+      &serialise_seconds);
+  *server_timing = ServerTiming({{"parse", parse_seconds},
+                                 {"fingerprint", job.stages.fingerprint_seconds},
+                                 {"cache", job.stages.cache_seconds},
+                                 {"schedule", job.stages.schedule_seconds},
+                                 {"solve", job.stages.solve_seconds},
+                                 {"serialise", serialise_seconds}});
   return response;
 }
 
 HttpResponse DecompositionServer::HandleQuery(const HttpRequest& request,
                                               uint64_t request_id,
                                               std::string* server_timing) {
-  double timeout = ParseSeconds(request.QueryOr("timeout", ""),
-                                service_->options().default_timeout_seconds);
-  if (timeout < 0) {
+  const std::optional<double> timeout =
+      ParseTimeout(request, service_->options().default_timeout_seconds);
+  if (!timeout.has_value()) {
     bad_requests_->Add();
     return ErrorResponse(400, "query parameter timeout must be seconds >= 0");
   }
@@ -789,260 +760,156 @@ HttpResponse DecompositionServer::HandleQuery(const HttpRequest& request,
   }
   std::optional<bool> count_override;
   if (!count_param.empty()) count_override = count_param == "1";
-
-  // Shard admission mirrors /v1/decompose: ownership is decided by the
-  // fingerprint of the QUERY'S HYPERGRAPH, so the decomposition state a
-  // query warms lands on the shard that will be asked for it again.
-  auto shard = shard_state();
-  bool sender_hashed = false;
-  if (shard != nullptr) {
-    auto digest = request.headers.find("x-htd-shard-digest");
-    if (digest != request.headers.end()) {
-      if (!DigestAccepted(*shard, digest->second)) {
-        misrouted_->Add();
-        return ErrorResponse(
-            421, "shard map digest mismatch: this shard is " +
-                     std::to_string(shard->index) + "/" +
-                     std::to_string(shard->map.num_shards()) + " of " +
-                     shard->map.Serialise() + " (digest " + shard->digest_hex +
-                     (shard->transitioning()
-                          ? ", transitioning to " + shard->new_digest_hex
-                          : "") +
-                     "); request was routed by digest " + digest->second);
-      }
-      sender_hashed = true;
-    }
-    auto fp_header = request.headers.find("x-htd-shard-fingerprint");
-    if (fp_header != request.headers.end()) {
-      service::Fingerprint fp;
-      if (!service::Fingerprint::FromHex(fp_header->second, &fp)) {
-        bad_requests_->Add();
-        return ErrorResponse(400,
-                             "x-htd-shard-fingerprint must be 32 hex digits");
-      }
-      if (!RangeAccepted(*shard, fp)) {
-        misrouted_->Add();
-        return ErrorResponse(
-            421, "misrouted: fingerprint " + fp_header->second +
-                     " is outside shard " + std::to_string(shard->index) +
-                     "'s range");
-      }
-    } else {
-      sender_hashed = false;  // a digest without a fingerprint proves nothing
-    }
+  std::shared_ptr<const qa::QueryRequest> query;
+  double parse_seconds = 0;
+  if (auto refused =
+          Admit(request, request_id, kQueryRoute, &query, &parse_seconds)) {
+    return *refused;
   }
-  if (request.body.empty()) {
-    bad_requests_->Add();
-    return ErrorResponse(400, "empty body: expected an HTDQUERY1 query "
-                              "request (docs/QUERIES.md)");
+  const util::TraceParent trace{request_id, request_id};
+
+  if (async) {
+    // The answer runs as a background-lane task on the fleet-wide executor:
+    // QueryEngine::Answer blocks on probe flights served by the same
+    // executor, which is safe because a worker waiting on them helps run
+    // sync/async-lane work (Executor::HelpWhileWaiting) and the background
+    // lane is excluded from helping, so query jobs can't recursively stack.
+    // The outstanding counter makes the job visible to the 429 bound and
+    // lets Stop() wait it out; its decrement is the task's last touch of
+    // `this`.
+    auto promise =
+        std::make_shared<std::promise<util::StatusOr<qa::QueryAnswer>>>();
+    std::shared_future<util::StatusOr<qa::QueryAnswer>> answer =
+        promise->get_future().share();
+    outstanding_query_jobs_.fetch_add(1, std::memory_order_acq_rel);
+    service_->executor().Submit(
+        [this, query, timeout, trace, count_override, promise] {
+          try {
+            promise->set_value(query_engine_->Answer(
+                query->query, query->db, *timeout, trace, count_override));
+          } catch (...) {
+            promise->set_value(
+                util::Status::Internal("query job failed with an exception"));
+          }
+          outstanding_query_jobs_.fetch_sub(1, std::memory_order_acq_rel);
+        },
+        util::Executor::Lane::kBackground);
+    return FileJob("q", {[answer] { return Ready(answer); },
+                         [answer](JsonWriter& json) {
+                           const auto& resolved = answer.get();
+                           if (!resolved.ok()) {
+                             json.Field("error", resolved.status().message());
+                             return;
+                           }
+                           WriteQueryAnswer(json.Object("result"), *resolved);
+                           json.End();
+                         }});
   }
 
-  // Same shed-before-parse ordering as /v1/decompose: refuse in O(1).
-  if (stopping_.load(std::memory_order_acquire)) {
-    return ErrorResponse(503, "server is shutting down");
+  auto answer = query_engine_->Answer(query->query, query->db, *timeout, trace,
+                                      count_override);
+  if (!answer.ok()) {
+    if (answer.status().code() == util::StatusCode::kInvalidArgument) {
+      bad_requests_->Add();
+      return ErrorResponse(400, answer.status().message());
+    }
+    return ErrorResponse(500, answer.status().message());
   }
-  if (TotalOutstandingJobs() >=
-      static_cast<uint64_t>(options_.max_queue_depth)) {
-    shed_->Add();
-    HttpResponse response = ErrorResponse(
-        429, "queue full: " + std::to_string(options_.max_queue_depth) +
-                 " jobs outstanding; retry later");
-    response.headers.emplace_back("Retry-After",
-                                  std::to_string(options_.retry_after_seconds));
-    return response;
-  }
+  double serialise_seconds = 0;
+  HttpResponse response = Serialise(
+      request_id, [&](JsonWriter& json) { WriteQueryAnswer(json, *answer); },
+      &serialise_seconds);
+  *server_timing = ServerTiming({{"parse", parse_seconds},
+                                 {"decompose", answer->decompose_seconds},
+                                 {"pick", answer->pick_seconds},
+                                 {"execute", answer->execute_seconds},
+                                 {"serialise", serialise_seconds}});
+  return response;
+}
 
-  util::WallTimer parse_timer;
-  auto parsed = [&] {
-    util::TraceScope span("parse", util::TraceParent{request_id, request_id},
-                          static_cast<uint64_t>(request.body.size()));
-    return qa::ParseQueryRequest(request.body);
-  }();
-  const double parse_seconds = parse_timer.ElapsedSeconds();
-  service_->ObserveParseSeconds(parse_seconds);
-  if (!parsed.ok()) {
-    bad_requests_->Add();
-    return ErrorResponse(400, "cannot parse query request: " +
-                                  parsed.status().message());
-  }
-  if (shard != nullptr && !sender_hashed) {
-    // Unhashed sender: enforce the range on our own canonicalisation of the
-    // query hypergraph (same reasoning as HandleDecompose).
-    const service::Fingerprint fp =
-        service::CanonicalFingerprint(cq::QueryHypergraph(parsed->query));
-    if (!RangeAccepted(*shard, fp)) {
-      misrouted_->Add();
-      return ErrorResponse(
-          421, "misrouted: query fingerprint " + fp.ToHex() +
-                   " belongs to shard " + std::to_string(shard->map.IndexFor(fp)) +
-                   ", this is shard " + std::to_string(shard->index) +
-                   " (route via the shard map)");
-    }
-  }
-  admitted_->Add();
-
-  if (!async) {
-    auto answer = query_engine_->Answer(parsed->query, parsed->db, timeout,
-                                        util::TraceParent{request_id, request_id},
-                                        count_override);
-    if (!answer.ok()) {
-      if (answer.status().code() == util::StatusCode::kInvalidArgument) {
-        bad_requests_->Add();
-        return ErrorResponse(400, answer.status().message());
-      }
-      return ErrorResponse(500, answer.status().message());
-    }
-    HttpResponse response;
-    util::WallTimer serialise_timer;
-    {
-      util::TraceScope span("serialise",
-                            util::TraceParent{request_id, request_id});
-      response.body = RenderQueryAnswer(*answer);
-    }
-    const double serialise_seconds = serialise_timer.ElapsedSeconds();
-    service_->ObserveSerialiseSeconds(serialise_seconds);
-    if (server_timing != nullptr) {
-      *server_timing =
-          QueryTimingHeader(parse_seconds, *answer, serialise_seconds);
-    }
-    return response;
-  }
-
-  // Async: "q<N>". The answer runs as a background-lane task on the
-  // fleet-wide executor (see the AsyncQueryJob comment in the header); the
-  // outstanding counter makes it visible to the 429 bound and lets Stop()
-  // wait the task out. The decrement is the task's last touch of `this`.
-  const std::string id = "q" + std::to_string(next_job_id_.fetch_add(
-                                   1, std::memory_order_relaxed));
-  auto shared_request = std::make_shared<qa::QueryRequest>(std::move(*parsed));
-  auto promise =
-      std::make_shared<std::promise<util::StatusOr<qa::QueryAnswer>>>();
-  std::shared_future<util::StatusOr<qa::QueryAnswer>> future =
-      promise->get_future().share();
-  outstanding_query_jobs_.fetch_add(1, std::memory_order_acq_rel);
-  service_->executor().Submit(
-      [this, shared_request, timeout, request_id, count_override, promise] {
-        try {
-          promise->set_value(query_engine_->Answer(
-              shared_request->query, shared_request->db, timeout,
-              util::TraceParent{request_id, request_id}, count_override));
-        } catch (...) {
-          promise->set_value(
-              util::Status::Internal("query job failed with an exception"));
-        }
-        outstanding_query_jobs_.fetch_sub(1, std::memory_order_acq_rel);
-      },
-      util::Executor::Lane::kBackground);
+HttpResponse DecompositionServer::FileJob(const char* prefix, AsyncJob job) {
+  const std::string id =
+      prefix + std::to_string(next_job_id_.fetch_add(1, std::memory_order_relaxed));
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
-    query_jobs_.emplace(id, AsyncQueryJob{future});
-    query_job_order_.push_back(id);
-    // Same resolved-only eviction policy as decompose jobs.
-    for (auto it = query_job_order_.begin();
-         query_jobs_.size() > options_.max_retained_jobs &&
-         it != query_job_order_.end();) {
-      auto found = query_jobs_.find(*it);
-      if (found != query_jobs_.end() &&
-          found->second.future.wait_for(std::chrono::seconds(0)) ==
-              std::future_status::ready) {
-        query_jobs_.erase(found);
-        it = query_job_order_.erase(it);
+    jobs_.emplace(id, std::move(job));
+    job_order_.push_back(id);
+    // Evict the oldest *resolved* records over the retention cap; unresolved
+    // jobs stay queryable (their count is bounded by admission control).
+    for (auto it = job_order_.begin();
+         jobs_.size() > options_.max_retained_jobs && it != job_order_.end();) {
+      auto found = jobs_.find(*it);
+      if (found != jobs_.end() && found->second.done()) {
+        jobs_.erase(found);
+        it = job_order_.erase(it);
       } else {
         ++it;
       }
     }
   }
-  HttpResponse response;
-  response.status = 202;
-  response.body = "{\"job\": \"" + id + "\", \"state\": \"admitted\"}\n";
-  return response;
+  JsonWriter json;
+  json.Object().Field("job", id).Field("state", "admitted");
+  return JsonResponse(json, 202);
 }
 
-HttpResponse DecompositionServer::HandleQueryJob(const std::string& id) {
-  AsyncQueryJob record;
+HttpResponse DecompositionServer::HandleJob(const std::string& id) {
+  AsyncJob job;
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
-    auto it = query_jobs_.find(id);
-    if (it == query_jobs_.end()) {
+    auto it = jobs_.find(id);
+    if (it == jobs_.end()) {
       return ErrorResponse(404, "unknown job id: " + id);
     }
-    record = it->second;
+    job = it->second;
   }
-  if (record.future.wait_for(std::chrono::seconds(0)) !=
-      std::future_status::ready) {
-    HttpResponse response;
-    response.body = "{\"job\": \"" + id + "\", \"state\": \"running\"}\n";
-    return response;
+  JsonWriter json;
+  json.Object().Field("job", id);
+  if (job.done()) {
+    job.render(json.Field("state", "done"));
+  } else {
+    json.Field("state", "running");
   }
-  const util::StatusOr<qa::QueryAnswer>& answer = record.future.get();
-  HttpResponse response;
-  if (!answer.ok()) {
-    response.body = "{\"job\": \"" + id + "\", \"state\": \"done\", "
-                    "\"error\": \"" +
-                    JsonEscape(answer.status().message()) + "\"}\n";
-    return response;
-  }
-  response.body = "{\"job\": \"" + id + "\", \"state\": \"done\", \"result\": " +
-                  RenderQueryAnswer(*answer);
-  response.body.back() = '}';
-  response.body += "\n";
-  return response;
+  return JsonResponse(json);
 }
 
 HttpResponse DecompositionServer::HandleStats() {
   // One registry collection: every counter is sampled exactly once, in an
   // order where derived counts precede the totals bounding them, so one
   // poll never reports, e.g., more cache hits than submissions.
-  std::string body =
-      "{\"metrics\": " + RenderMetricsJson(service_->metrics().Collect());
+  JsonWriter json;
+  json.Object().Raw("metrics",
+                    RenderMetricsJson(service_->metrics().Collect()));
   auto shard = shard_state();
-  body += ", \"shard\": {\"enabled\": ";
-  body += shard != nullptr ? "true" : "false";
+  json.Object("shard").Field("enabled", shard != nullptr);
   if (shard != nullptr) {
-    body += ", \"index\": " + std::to_string(shard->index);
-    body += ", \"count\": " + std::to_string(shard->map.num_shards());
-    body += ", \"digest\": \"" + shard->digest_hex + "\"";
-    body += ", \"range\": \"" + HexRange(shard->range) + "\"";
-    body += std::string(", \"transitioning\": ") +
-            (shard->transitioning() ? "true" : "false");
+    json.Field("index", shard->index)
+        .Field("count", shard->map.num_shards())
+        .Field("digest", shard->digest_hex)
+        .Field("range", HexRange(shard->range))
+        .Field("transitioning", shard->transitioning());
     if (shard->transitioning()) {
-      body += ", \"new_digest\": \"" + shard->new_digest_hex + "\"";
-      body += ", \"new_index\": " + std::to_string(shard->new_index);
+      json.Field("new_digest", shard->new_digest_hex)
+          .Field("new_index", shard->new_index);
       if (shard->new_index >= 0) {
-        body += ", \"new_range\": \"" + HexRange(shard->new_range) + "\"";
+        json.Field("new_range", HexRange(shard->new_range));
       }
     }
   }
-  body += "}, \"config\": {";
-  body += "\"max_queue_depth\": " + std::to_string(options_.max_queue_depth);
-  body += ", \"max_connections\": " +
-          std::to_string(options_.http.max_connections);
-  body += ", \"anti_entropy_interval_seconds\": " +
-          util::FormatMetricValue(options_.anti_entropy_interval_seconds);
-  body += std::string(", \"subproblem_store\": ") +
-          (service_->options().enable_subproblem_store ? "true" : "false");
-  body += ", \"snapshot_path\": \"" + JsonEscape(options_.snapshot_path) +
-          "\"}}\n";
-
-  HttpResponse response;
-  response.body = std::move(body);
-  return response;
+  json.End()
+      .Object("config")
+      .Field("max_queue_depth", options_.max_queue_depth)
+      .Field("max_connections", options_.http.max_connections)
+      .Raw("anti_entropy_interval_seconds",
+           util::FormatMetricValue(options_.anti_entropy_interval_seconds))
+      .Field("subproblem_store", service_->options().enable_subproblem_store)
+      .Field("snapshot_path", options_.snapshot_path);
+  return JsonResponse(json);
 }
 
 HttpResponse DecompositionServer::HandleMetrics() {
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
   response.body = service_->metrics().RenderPrometheus();
-  return response;
-}
-
-HttpResponse DecompositionServer::HandleTrace(const HttpRequest& request) {
-  int n = ParseInt(request.QueryOr("n", "16"));
-  if (n < 1 || n > 256) {
-    return ErrorResponse(400, "query parameter n must be an integer in [1, 256]");
-  }
-  HttpResponse response;
-  response.body = RenderRecentTracesJson(static_cast<size_t>(n));
   return response;
 }
 
@@ -1053,12 +920,13 @@ HttpResponse DecompositionServer::HandleSnapshot() {
         saved.status().code() == util::StatusCode::kFailedPrecondition ? 412 : 500;
     return ErrorResponse(status, saved.status().message());
   }
-  HttpResponse response;
-  response.body = "{\"saved\": true, \"cache_entries\": " +
-                  std::to_string(saved->cache_entries) +
-                  ", \"store_entries\": " + std::to_string(saved->store_entries) +
-                  ", \"bytes\": " + std::to_string(saved->bytes) + "}\n";
-  return response;
+  JsonWriter json;
+  json.Object()
+      .Field("saved", true)
+      .Field("cache_entries", saved->cache_entries)
+      .Field("store_entries", saved->store_entries)
+      .Field("bytes", saved->bytes);
+  return JsonResponse(json);
 }
 
 HttpResponse DecompositionServer::HandleExport(const HttpRequest& request) {
@@ -1084,23 +952,29 @@ HttpResponse DecompositionServer::HandleExport(const HttpRequest& request) {
   return response;
 }
 
+std::optional<HttpResponse> DecompositionServer::RefuseForeignDigest(
+    const HttpRequest& request, const ShardState* shard, const char* routed) {
+  if (shard == nullptr) return std::nullopt;
+  auto digest = request.headers.find("x-htd-shard-digest");
+  if (digest == request.headers.end() || DigestAccepted(*shard, digest->second)) {
+    return std::nullopt;
+  }
+  misrouted_->Add();
+  return ErrorResponse(
+      421, std::string(routed) + " " + digest->second +
+               " but this shard accepts " + shard->digest_hex +
+               (shard->transitioning() ? " or " + shard->new_digest_hex : ""));
+}
+
 HttpResponse DecompositionServer::HandleImport(const HttpRequest& request) {
   if (request.body.empty()) {
     return ErrorResponse(400, "empty body: expected a snapshot blob "
                               "(service/persistence.h format)");
   }
   auto shard = shard_state();
-  if (shard != nullptr) {
-    auto digest = request.headers.find("x-htd-shard-digest");
-    if (digest != request.headers.end() &&
-        !DigestAccepted(*shard, digest->second)) {
-      misrouted_->Add();
-      return ErrorResponse(
-          421, "import routed by digest " + digest->second +
-                   " but this shard accepts " + shard->digest_hex +
-                   (shard->transitioning() ? " or " + shard->new_digest_hex
-                                           : ""));
-    }
+  if (auto refused = RefuseForeignDigest(request, shard.get(),
+                                         "import routed by digest")) {
+    return *refused;
   }
   // Filter to the accepted slice of the key space; a migration push built
   // against the right map never loses entries to this (the sender already
@@ -1122,13 +996,13 @@ HttpResponse DecompositionServer::HandleImport(const HttpRequest& request) {
   }
   imported_cache_entries_->Add(imported->cache_entries);
   imported_store_entries_->Add(imported->store_entries);
-  HttpResponse response;
-  response.body = "{\"imported\": true, \"cache_entries\": " +
-                  std::to_string(imported->cache_entries) +
-                  ", \"store_entries\": " + std::to_string(imported->store_entries) +
-                  ", \"dropped_out_of_range\": " +
-                  std::to_string(imported->dropped_out_of_range) + "}\n";
-  return response;
+  JsonWriter json;
+  json.Object()
+      .Field("imported", true)
+      .Field("cache_entries", imported->cache_entries)
+      .Field("store_entries", imported->store_entries)
+      .Field("dropped_out_of_range", imported->dropped_out_of_range);
+  return JsonResponse(json);
 }
 
 HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
@@ -1157,11 +1031,13 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
     next->range = next->map.RangeFor(next->index);
     next->digest_hex = next->map.DigestHex();
     SwapShardState(next);
-    HttpResponse response;
-    response.body = "{\"finalised\": true, \"digest\": \"" + next->digest_hex +
-                    "\", \"index\": " + std::to_string(next->index) +
-                    ", \"range\": \"" + HexRange(next->range) + "\"}\n";
-    return response;
+    JsonWriter json;
+    json.Object()
+        .Field("finalised", true)
+        .Field("digest", next->digest_hex)
+        .Field("index", next->index)
+        .Field("range", HexRange(next->range));
+    return JsonResponse(json);
   }
 
   long new_index;
@@ -1176,18 +1052,13 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
   // pushed to the new sibling replicas (minus self) or they come up cold.
   // Without `self` the own-range push is skipped entirely — a self-push
   // would tie up an IO thread talking to itself.
-  std::optional<service::ShardEndpoint> self;
   const std::string self_text = request.QueryOr("self", "");
+  std::optional<service::ShardEndpoint> self;
   if (!self_text.empty()) {
-    size_t colon = self_text.rfind(':');
-    long self_port;
-    if (colon == std::string::npos || colon == 0 ||
-        !util::ParseIntFlag(self_text.substr(colon + 1), 1, 65535,
-                            &self_port)) {
+    self = service::ShardEndpoint::Parse(self_text);
+    if (!self.has_value()) {
       return ErrorResponse(400, "query parameter self must be host:port");
     }
-    self = service::ShardEndpoint{self_text.substr(0, colon),
-                                  static_cast<int>(self_port)};
   }
   if (request.body.empty()) {
     return ErrorResponse(400, "empty body: expected the new shard map spec "
@@ -1239,13 +1110,14 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
   // EVERY old backend before any of them streams, because migration pushes
   // carry the NEW digest — a receiver that has not yet learned the incoming
   // topology would refuse them with 421.
+  JsonWriter json;
   if (request.QueryOr("prepare", "0") == "1") {
-    HttpResponse response;
-    response.body = "{\"prepared\": true, \"transitioning\": true, "
-                    "\"new_digest\": \"" + shard->new_digest_hex +
-                    "\", \"new_index\": " + std::to_string(shard->new_index) +
-                    "}\n";
-    return response;
+    json.Object()
+        .Field("prepared", true)
+        .Field("transitioning", true)
+        .Field("new_digest", shard->new_digest_hex)
+        .Field("new_index", shard->new_index);
+    return JsonResponse(json);
   }
 
   // Stream the entries leaving this range to their new owners — and, when
@@ -1254,7 +1126,7 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
   // push it to every replica of that range (minus ourselves).
   bool all_ok = true;
   uint64_t moved = 0;
-  std::string targets_json;
+  JsonWriter targets;
   for (int j = 0; j < new_map->num_shards(); ++j) {
     if (j == shard->new_index && !self.has_value()) continue;
     service::FingerprintRange leaving;
@@ -1280,52 +1152,36 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
       pushed_any = true;
       const bool ok = pushed.ok() && pushed.status == 200;
       all_ok = all_ok && ok;
-      if (!targets_json.empty()) targets_json += ", ";
-      targets_json += "{\"range\": " + std::to_string(j);
-      targets_json += ", \"endpoint\": \"" + JsonEscape(target.host) + ":" +
-                      std::to_string(target.port) + "\"";
-      targets_json += ", \"cache_entries\": " +
-                      std::to_string(written.cache_entries);
-      targets_json +=
-          ", \"store_entries\": " + std::to_string(written.store_entries);
-      if (pushed.ok()) {
-        targets_json += ", \"status\": " + std::to_string(pushed.status);
-      } else {
-        targets_json += ", \"status\": 0, \"error\": \"" +
-                        JsonEscape(pushed.error) + "\"";
-      }
-      targets_json += "}";
+      targets.Object()
+          .Field("range", j)
+          .Field("endpoint", target.host + ":" + std::to_string(target.port))
+          .Field("cache_entries", written.cache_entries)
+          .Field("store_entries", written.store_entries)
+          .Field("status", pushed.ok() ? pushed.status : 0);
+      if (!pushed.ok()) targets.Field("error", pushed.error);
+      targets.End();
     }
     if (pushed_any) moved += entries;
   }
   migrated_out_entries_->Add(moved);
 
-  HttpResponse response;
+  json.Object()
+      .Field("migrated", all_ok)
+      .Field("transitioning", true)
+      .Field("new_digest", shard->new_digest_hex)
+      .Field("new_index", shard->new_index)
+      .Field("entries_out", moved)
+      .Raw("targets", "[" + targets.Finish() + "]");
   // Partial pushes are a gateway-level failure: some new owner did NOT
   // receive its slice, and the operator must re-drive before finalising.
-  response.status = all_ok ? 200 : 502;
-  response.body = std::string("{\"migrated\": ") + (all_ok ? "true" : "false") +
-                  ", \"transitioning\": true, \"new_digest\": \"" +
-                  shard->new_digest_hex +
-                  "\", \"new_index\": " + std::to_string(shard->new_index) +
-                  ", \"entries_out\": " + std::to_string(moved) +
-                  ", \"targets\": [" + targets_json + "]}\n";
-  return response;
+  return JsonResponse(json, all_ok ? 200 : 502);
 }
 
 HttpResponse DecompositionServer::HandleDigest(const HttpRequest& request) {
   auto shard = shard_state();
-  if (shard != nullptr) {
-    auto digest = request.headers.find("x-htd-shard-digest");
-    if (digest != request.headers.end() &&
-        !DigestAccepted(*shard, digest->second)) {
-      misrouted_->Add();
-      return ErrorResponse(
-          421, "digest request routed by shard-map digest " + digest->second +
-                   " but this shard accepts " + shard->digest_hex +
-                   (shard->transitioning() ? " or " + shard->new_digest_hex
-                                           : ""));
-    }
+  if (auto refused = RefuseForeignDigest(
+          request, shard.get(), "digest request routed by shard-map digest")) {
+    return *refused;
   }
   // Default to the slice of the key space this server owns (everything when
   // unsharded); an explicit ?range= narrows or widens it — e.g. a sweep
@@ -1360,18 +1216,18 @@ HttpResponse DecompositionServer::HandleAntiEntropy() {
                      : 500;
     return ErrorResponse(status, swept.status().message());
   }
-  HttpResponse response;
+  JsonWriter json;
+  json.Object()
+      .Field("swept", true)
+      .Field("siblings", swept->siblings)
+      .Field("slices_pulled", swept->slices_pulled)
+      .Field("cache_entries", swept->cache_entries)
+      .Field("store_entries", swept->store_entries)
+      .Field("bytes", swept->bytes)
+      .Field("errors", swept->errors);
   // Partial failures mirror the migrate contract: some sibling did not
   // complete its exchange, so the operator (or the next round) must re-drive.
-  response.status = swept->errors == 0 ? 200 : 502;
-  response.body = "{\"swept\": true, \"siblings\": " +
-                  std::to_string(swept->siblings) +
-                  ", \"slices_pulled\": " + std::to_string(swept->slices_pulled) +
-                  ", \"cache_entries\": " + std::to_string(swept->cache_entries) +
-                  ", \"store_entries\": " + std::to_string(swept->store_entries) +
-                  ", \"bytes\": " + std::to_string(swept->bytes) +
-                  ", \"errors\": " + std::to_string(swept->errors) + "}\n";
-  return response;
+  return JsonResponse(json, swept->errors == 0 ? 200 : 502);
 }
 
 void DecompositionServer::AntiEntropyLoop() {
@@ -1534,73 +1390,6 @@ DecompositionServer::RunAntiEntropySweep() {
     ae_rounds_error_->Add();
   }
   return result;
-}
-
-std::string DecompositionServer::RenderResult(const service::JobResult& job,
-                                              const Hypergraph& graph,
-                                              bool include_decomposition) const {
-  std::string body = "{";
-  body += "\"outcome\": \"" + std::string(OutcomeName(job.result.outcome)) + "\"";
-  if (job.result.decomposition.has_value()) {
-    body += ", \"width\": " + std::to_string(job.result.decomposition->Width());
-  }
-  body += std::string(", \"cache_hit\": ") + (job.cache_hit ? "true" : "false");
-  body += std::string(", \"deduplicated\": ") +
-          (job.deduplicated ? "true" : "false");
-  body += ", \"seconds\": " + std::to_string(job.seconds);
-  body += ", \"threads_used\": " + std::to_string(job.threads_used);
-  body += ", \"fingerprint\": \"" + job.fingerprint.ToHex() + "\"";
-  if (include_decomposition && job.result.decomposition.has_value()) {
-    body += ", \"decomposition\": " +
-            WriteDecompositionJson(graph, *job.result.decomposition);
-  }
-  body += "}\n";
-  return body;
-}
-
-std::string DecompositionServer::RenderQueryAnswer(
-    const qa::QueryAnswer& answer) {
-  std::string body = "{";
-  body += "\"outcome\": \"" +
-          std::string(qa::QueryOutcomeName(answer.outcome)) + "\"";
-  if (answer.outcome == qa::QueryOutcome::kSatisfiable) {
-    // Witness keys are rendered sorted so the body is deterministic.
-    std::vector<std::pair<std::string, int64_t>> vars(answer.witness.begin(),
-                                                      answer.witness.end());
-    std::sort(vars.begin(), vars.end());
-    body += ", \"witness\": {";
-    bool first = true;
-    for (const auto& [var, value] : vars) {
-      if (!first) body += ", ";
-      first = false;
-      body += "\"" + JsonEscape(var) + "\": " + std::to_string(value);
-    }
-    body += "}";
-  }
-  if (answer.counted) {
-    body += ", \"count\": " + std::to_string(answer.count.value);
-    body += std::string(", \"count_saturated\": ") +
-            (answer.count.saturated ? "true" : "false");
-  }
-  if (answer.portfolio_size > 0) {
-    body += ", \"width\": " + std::to_string(answer.width);
-    body += ", \"fractional_width\": " +
-            std::to_string(answer.fractional_width);
-    body += ", \"estimated_cost\": " + std::to_string(answer.estimated_cost);
-    body += ", \"portfolio\": {\"picked\": " +
-            std::to_string(answer.picked_index) +
-            ", \"size\": " + std::to_string(answer.portfolio_size) + "}";
-  }
-  body += ", \"fingerprint\": \"" + answer.fingerprint.ToHex() + "\"";
-  body += std::string(", \"cache_hit\": ") +
-          (answer.decompose_cache_hit ? "true" : "false");
-  body += ", \"probes\": " + std::to_string(answer.probes);
-  body += ", \"decompose_seconds\": " +
-          std::to_string(answer.decompose_seconds);
-  body += ", \"pick_seconds\": " + std::to_string(answer.pick_seconds);
-  body += ", \"execute_seconds\": " + std::to_string(answer.execute_seconds);
-  body += "}\n";
-  return body;
 }
 
 }  // namespace htd::net

@@ -19,8 +19,8 @@
 //                           deadline, and 421 sharding semantics as
 //                           /v1/decompose; async job ids are "q<N>".
 //   GET  /v1/jobs/<id>      state of an async job; includes the result once
-//                           resolved. Serves decompose ("j<N>") and query
-//                           ("q<N>") jobs.
+//                           resolved. Decompose ("j<N>") and query ("q<N>")
+//                           jobs share one table and one retention cap.
 //   GET  /v1/stats          JSON view of one registry snapshot (every
 //                           non-histogram /v1/metrics family, same names)
 //                           plus the shard identity and admission config.
@@ -57,11 +57,13 @@
 //                           as JSON, children attached (util/trace.h).
 //   GET  /healthz           liveness probe.
 //
-// Observability: every POST /v1/decompose opens a root span whose id is
-// echoed as X-HTD-Request-Id (an id arriving in that header — the shard
-// router propagates its own — is adopted, so a fleet trace stitches
-// together), and synchronous responses carry a Server-Timing header with
-// the parse/fingerprint/cache/schedule/solve/serialise stage breakdown.
+// Observability: every POST /v1/decompose and /v1/query opens a root span
+// whose id is echoed as X-HTD-Request-Id (an id arriving in that header —
+// the shard router propagates its own — is adopted, so a fleet trace
+// stitches together), and synchronous responses carry a Server-Timing
+// header with the stage breakdown: parse/fingerprint/cache/schedule/solve/
+// serialise for a decompose, parse/decompose/pick/execute/serialise for a
+// query.
 //
 // Admission control: requests are shed with 429 + Retry-After once the
 // number of admitted-but-unresolved jobs reaches max_queue_depth — a
@@ -91,6 +93,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -110,6 +113,8 @@
 #include "util/trace.h"
 
 namespace htd::net {
+
+class JsonWriter;
 
 struct DecompositionServerOptions {
   HttpServer::Options http;
@@ -254,25 +259,12 @@ class DecompositionServer {
   const DecompositionServerOptions& options() const { return options_; }
 
  private:
+  /// One async job, decompose ("j<N>") or query ("q<N>").
   struct AsyncJob {
-    std::shared_future<service::JobResult> future;
-    /// The admitted instance; kept so a later GET can render the
-    /// decomposition in the caller's vertex/edge names.
-    std::shared_ptr<const Hypergraph> graph;
-    int k = 0;
-    bool include_decomposition = false;
-  };
-
-  /// Async query job ("q<N>"). Runs as a background-lane task on the
-  /// fleet-wide executor: QueryEngine::Answer blocks on probe flights served
-  /// by the same executor, which is safe because a worker running Answer
-  /// helps execute sync/async-lane work while it waits
-  /// (Executor::HelpWhileWaiting) — and the background lane itself is
-  /// excluded from helping, so query jobs can't recursively stack. Counted
-  /// in the admission bound via outstanding_query_jobs_ (unlike the old
-  /// detached std::async threads, which the 429 check could not see).
-  struct AsyncQueryJob {
-    std::shared_future<util::StatusOr<qa::QueryAnswer>> future;
+    /// True once the job resolved.
+    std::function<bool()> done;
+    /// Adds the resolved job's "result" (or "error") member to its body.
+    std::function<void(JsonWriter&)> render;
   };
 
   explicit DecompositionServer(DecompositionServerOptions options);
@@ -286,18 +278,42 @@ class DecompositionServer {
   /// histogram observation.
   HttpResponse Dispatch(const HttpRequest& request);
 
-  /// `request_id` is the root span id (echoed by the caller); on the
-  /// synchronous path `server_timing` receives the stage breakdown in
-  /// Server-Timing header syntax.
+  /// The front door of /v1/decompose and /v1/query: adopts or mints the
+  /// request id, opens the root span, runs the route's handler, and echoes
+  /// X-HTD-Request-Id and Server-Timing.
+  HttpResponse HandleAdmitted(const HttpRequest& request);
+  /// `request_id` is the root span id; on the synchronous path
+  /// `server_timing` receives the stage breakdown in Server-Timing syntax.
   HttpResponse HandleDecompose(const HttpRequest& request, uint64_t request_id,
                                std::string* server_timing);
   HttpResponse HandleQuery(const HttpRequest& request, uint64_t request_id,
                            std::string* server_timing);
+  /// The admission both routes share, in order: the shard digest and
+  /// fingerprint header checks, the empty-body 400, the 503 while stopping,
+  /// the 429 shed, the timed parse, and the range check on our own
+  /// fingerprint for a sender that did not prove its routing. Returns the
+  /// refusal, or nullopt with `*body` parsed and counted as admitted.
+  template <typename Route>
+  std::optional<HttpResponse> Admit(
+      const HttpRequest& request, uint64_t request_id, const Route& route,
+      std::shared_ptr<const typename Route::Body>* body, double* parse_seconds);
+  /// A synchronous answer: `write` fills the body object under a
+  /// "serialise" span, timed into the serialise-stage histogram.
+  HttpResponse Serialise(uint64_t request_id,
+                         const std::function<void(JsonWriter&)>& write,
+                         double* seconds);
+  /// Files `job` under a fresh "<prefix><N>" id, evicts the oldest resolved
+  /// records over max_retained_jobs, and returns the 202.
+  HttpResponse FileJob(const char* prefix, AsyncJob job);
   HttpResponse HandleJob(const std::string& id);
-  HttpResponse HandleQueryJob(const std::string& id);
+  /// The 421 (counted as misrouted) for a request carrying an
+  /// x-htd-shard-digest this server does not accept; `routed` opens the
+  /// message. nullopt when unsharded, or the digest is absent or accepted.
+  std::optional<HttpResponse> RefuseForeignDigest(const HttpRequest& request,
+                                                  const ShardState* shard,
+                                                  const char* routed);
   HttpResponse HandleStats();
   HttpResponse HandleMetrics();
-  HttpResponse HandleTrace(const HttpRequest& request);
   HttpResponse HandleSnapshot();
   HttpResponse HandleExport(const HttpRequest& request);
   HttpResponse HandleImport(const HttpRequest& request);
@@ -319,13 +335,6 @@ class DecompositionServer {
   /// query jobs still running (their probe flights resolve before the job
   /// does, so the scheduler alone under-counts query load).
   uint64_t TotalOutstandingJobs() const;
-
-  /// Renders one resolved JobResult as the response JSON body.
-  std::string RenderResult(const service::JobResult& job, const Hypergraph& graph,
-                           bool include_decomposition) const;
-
-  /// Renders one QueryAnswer as the response JSON body (docs/QUERIES.md).
-  static std::string RenderQueryAnswer(const qa::QueryAnswer& answer);
 
   /// The solver-config digest snapshots are stamped with (recomputed the
   /// way the service armed it, so the header matches the keys inside).
@@ -380,10 +389,8 @@ class DecompositionServer {
   std::atomic<uint64_t> outstanding_query_jobs_{0};
 
   std::mutex jobs_mutex_;
-  std::map<std::string, AsyncJob> jobs_;       // guarded by jobs_mutex_
-  std::list<std::string> job_order_;           // insertion order, for eviction
-  std::map<std::string, AsyncQueryJob> query_jobs_;  // guarded by jobs_mutex_
-  std::list<std::string> query_job_order_;
+  std::map<std::string, AsyncJob> jobs_;  // guarded by jobs_mutex_
+  std::list<std::string> job_order_;      // insertion order, for eviction
 
   /// anti_entropy_self parsed at Create(); nullopt when empty/inferred.
   std::optional<service::ShardEndpoint> ae_self_;

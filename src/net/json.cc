@@ -5,7 +5,7 @@
 
 namespace htd::net {
 
-std::string JsonEscape(const std::string& text) {
+std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
   for (char c : text) {
@@ -28,11 +28,73 @@ std::string JsonEscape(const std::string& text) {
   return out;
 }
 
-HttpResponse JsonErrorResponse(int status, const std::string& message) {
+void JsonWriter::Next() {
+  if (!first_) out_ += ", ";
+  first_ = false;
+}
+
+void JsonWriter::Key(std::string_view key) {
+  Next();
+  out_ += "\"" + JsonEscape(key) + "\": ";
+}
+
+void JsonWriter::Push(char open, char close) {
+  out_ += open;
+  closers_ += close;
+  first_ = true;
+}
+
+JsonWriter& JsonWriter::Object() {
+  Next();
+  Push('{', '}');
+  return *this;
+}
+
+JsonWriter& JsonWriter::Object(std::string_view key) {
+  Key(key);
+  Push('{', '}');
+  return *this;
+}
+
+JsonWriter& JsonWriter::Array(std::string_view key) {
+  Key(key);
+  Push('[', ']');
+  return *this;
+}
+
+JsonWriter& JsonWriter::End() {
+  out_ += closers_.back();
+  closers_.pop_back();
+  first_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Field(std::string_view key, std::string_view value) {
+  return Raw(key, "\"" + JsonEscape(value) + "\"");
+}
+
+JsonWriter& JsonWriter::Raw(std::string_view key, std::string_view json) {
+  Key(key);
+  out_ += json;
+  return *this;
+}
+
+std::string JsonWriter::Finish() {
+  while (!closers_.empty()) End();
+  return std::move(out_);
+}
+
+HttpResponse JsonResponse(JsonWriter& json, int status) {
   HttpResponse response;
   response.status = status;
-  response.body = "{\"error\": \"" + JsonEscape(message) + "\"}\n";
+  response.body = json.Finish() + "\n";
   return response;
+}
+
+HttpResponse JsonErrorResponse(int status, const std::string& message) {
+  JsonWriter json;
+  json.Object().Field("error", message);
+  return JsonResponse(json, status);
 }
 
 const char* RouteLabel(const std::string& path) {
@@ -66,24 +128,22 @@ std::string NumberOrNull(double value) {
 }  // namespace
 
 std::string RenderMetricsJson(const std::vector<util::MetricFamily>& families) {
-  std::string out = "{";
+  JsonWriter json;
+  json.Object();
   for (const util::MetricFamily& family : families) {
     if (family.type == "histogram") continue;
-    if (out.size() > 1) out += ", ";
-    out += "\"" + JsonEscape(family.name) + "\": ";
     const std::vector<util::MetricSample>& samples = family.samples;
     if (samples.size() == 1 && samples[0].labels.empty()) {
-      out += NumberOrNull(samples[0].value);
+      json.Raw(family.name, NumberOrNull(samples[0].value));
       continue;
     }
-    out += "{";
-    for (size_t i = 0; i < samples.size(); ++i) {
-      out += (i > 0 ? ", \"" : "\"") + JsonEscape(LabelKey(samples[i].labels)) +
-             "\": " + NumberOrNull(samples[i].value);
+    json.Object(family.name);
+    for (const util::MetricSample& sample : samples) {
+      json.Raw(LabelKey(sample.labels), NumberOrNull(sample.value));
     }
-    out += "}";
+    json.End();
   }
-  return out + "}";
+  return json.Finish();
 }
 
 }  // namespace htd::net

@@ -4,12 +4,10 @@
 #include <cstdlib>
 #include <set>
 
-#include "hypergraph/parser.h"
 #include "net/http_client.h"
 #include "net/json.h"
+#include "net/routes.h"
 #include "net/trace_json.h"
-#include "qa/wire.h"
-#include "service/canonical.h"
 #include "util/cli.h"
 #include "util/timer.h"
 
@@ -19,15 +17,6 @@ namespace {
 
 HttpResponse ErrorResponse(int status, const std::string& message) {
   return JsonErrorResponse(status, message);
-}
-
-/// Trailing-'\n'-free copy of a forwarded JSON body, for embedding.
-std::string Embed(const std::string& body) {
-  std::string out = body;
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return out.empty() ? "null" : out;
 }
 
 /// Inserts `prefix` in front of the job id in a 202/200 job body.
@@ -398,22 +387,23 @@ HttpResponse ShardRouter::Dispatch(const HttpRequest& request) {
     for (const ShardStats& endpoint : stats) {
       backing_off += endpoint.backing_off ? 1 : 0;
     }
-    HttpResponse response;
-    response.body =
-        "{\"ok\": true, \"role\": \"router\", \"shards\": " +
-        std::to_string(snapshot->map.num_shards()) +
-        ", \"endpoints\": " + std::to_string(stats.size()) +
-        ", \"backing_off\": " + std::to_string(backing_off) +
-        ", \"transitioning\": " +
-        (snapshot->new_map.has_value() ? "true" : "false") + "}\n";
-    return response;
+    JsonWriter json;
+    json.Object()
+        .Field("ok", true)
+        .Field("role", "router")
+        .Field("shards", snapshot->map.num_shards())
+        .Field("endpoints", stats.size())
+        .Field("backing_off", backing_off)
+        .Field("transitioning", snapshot->new_map.has_value());
+    return JsonResponse(json);
   }
   if (request.path == "/v1/decompose") {
     return OnlyMethod(request, "POST",
-                      [&] { return HandleDecompose(request); });
+                      [&] { return HandleRouted(request, kDecomposeRoute); });
   }
   if (request.path == "/v1/query") {
-    return OnlyMethod(request, "POST", [&] { return HandleQuery(request); });
+    return OnlyMethod(request, "POST",
+                      [&] { return HandleRouted(request, kQueryRoute); });
   }
   if (request.path.rfind("/v1/jobs/", 0) == 0) {
     if (request.method != "GET") {
@@ -440,37 +430,18 @@ HttpResponse ShardRouter::Dispatch(const HttpRequest& request) {
   return ErrorResponse(404, "unknown route (router): " + request.path);
 }
 
-HttpResponse ShardRouter::HandleDecompose(const HttpRequest& request) {
-  if (request.body.empty()) {
-    return ErrorResponse(400, "empty body: expected a hypergraph in "
-                              "HyperBench or PACE format");
-  }
+template <typename Route>
+HttpResponse ShardRouter::HandleRouted(const HttpRequest& request,
+                                       const Route& route) {
+  if (request.body.empty()) return ErrorResponse(400, route.empty_body);
   // The router pays one parse + canonicalisation per request to learn the
   // routing key. The shard parses again — the body crosses a process
   // boundary either way, and re-deriving beats trusting a proxy's bytes.
-  auto parsed = ParseAuto(request.body);
+  auto parsed = route.parse(request.body);
   if (!parsed.ok()) {
-    return ErrorResponse(400,
-                         "cannot parse hypergraph: " + parsed.status().message());
+    return ErrorResponse(400, route.parse_error + parsed.status().message());
   }
-  return RouteByFingerprint(request, service::CanonicalFingerprint(*parsed));
-}
-
-HttpResponse ShardRouter::HandleQuery(const HttpRequest& request) {
-  if (request.body.empty()) {
-    return ErrorResponse(400, "empty body: expected an HTDQUERY1 query "
-                              "request (docs/QUERIES.md)");
-  }
-  // The routing key is the fingerprint of the query's hypergraph — the same
-  // key the backend decomposes under, so repeated queries (and their k-sweep
-  // probes) warm exactly the shard this router will ask again.
-  auto parsed = qa::ParseQueryRequest(request.body);
-  if (!parsed.ok()) {
-    return ErrorResponse(
-        400, "cannot parse query request: " + parsed.status().message());
-  }
-  return RouteByFingerprint(
-      request, service::CanonicalFingerprint(cq::QueryHypergraph(parsed->query)));
+  return RouteByFingerprint(request, route.fingerprint(*parsed));
 }
 
 HttpResponse ShardRouter::RouteByFingerprint(const HttpRequest& request,
@@ -700,41 +671,34 @@ HttpResponse ShardRouter::HandleStats() {
   // Health rows for the SAME target list the fan-out used: re-enumerating
   // endpoints here could race a transition and misattribute counters.
   auto health = StatsForTargets(scrape.targets);
-  std::string shards_json;
+  JsonWriter json;
+  json.Object()
+      .Field("role", "router")
+      .Field("shard_count", snapshot->map.num_shards())
+      .Field("endpoint_count", scrape.targets.size())
+      .Field("reachable", scrape.scraped)
+      .Field("map_digest", snapshot->digest_hex)
+      .Field("transitioning", snapshot->new_map.has_value());
+  if (snapshot->new_map.has_value()) {
+    json.Field("new_map_digest", snapshot->new_digest_hex);
+  }
+  json.Raw("metrics", RenderMetricsJson(scrape.families)).Array("shards");
   for (size_t i = 0; i < scrape.targets.size(); ++i) {
     const AddressedEndpoint& target = scrape.targets[i];
     const int status = scrape.responses[i].status;
-    if (!shards_json.empty()) shards_json += ", ";
-    shards_json += "{\"index\": " + std::to_string(target.range);
-    shards_json += ", \"replica\": " + std::to_string(target.replica);
-    shards_json += ", \"endpoint\": \"" + JsonEscape(target.endpoint.host) +
-                   ":" + std::to_string(target.endpoint.port) + "\"";
-    if (target.new_map_only) shards_json += ", \"new_map_only\": true";
-    shards_json += ", \"forwarded\": " + std::to_string(health[i].forwarded);
-    shards_json += ", \"transport_errors\": " +
-                   std::to_string(health[i].transport_errors);
-    shards_json +=
-        ", \"backoff_shed\": " + std::to_string(health[i].backoff_shed);
-    shards_json += std::string(", \"reachable\": ") +
-                   (status == 200 ? "true" : "false");
-    shards_json += ", \"status\": " + std::to_string(status) + "}";
+    json.Object()
+        .Field("index", target.range)
+        .Field("replica", target.replica)
+        .Field("endpoint", HealthKey(target.endpoint));
+    if (target.new_map_only) json.Field("new_map_only", true);
+    json.Field("forwarded", health[i].forwarded)
+        .Field("transport_errors", health[i].transport_errors)
+        .Field("backoff_shed", health[i].backoff_shed)
+        .Field("reachable", status == 200)
+        .Field("status", status)
+        .End();
   }
-  std::string body = "{\"role\": \"router\"";
-  body += ", \"shard_count\": " + std::to_string(snapshot->map.num_shards());
-  body += ", \"endpoint_count\": " + std::to_string(scrape.targets.size());
-  body += ", \"reachable\": " + std::to_string(scrape.scraped);
-  body += ", \"map_digest\": \"" + snapshot->digest_hex + "\"";
-  body += std::string(", \"transitioning\": ") +
-          (snapshot->new_map.has_value() ? "true" : "false");
-  if (snapshot->new_map.has_value()) {
-    body += ", \"new_map_digest\": \"" + snapshot->new_digest_hex + "\"";
-  }
-  body += ", \"metrics\": " + RenderMetricsJson(scrape.families);
-  body += ", \"shards\": [" + shards_json + "]}\n";
-
-  HttpResponse response;
-  response.body = std::move(body);
-  return response;
+  return JsonResponse(json);
 }
 
 HttpResponse ShardRouter::HandleMetrics() {
@@ -747,62 +711,55 @@ HttpResponse ShardRouter::HandleMetrics() {
   return response;
 }
 
-HttpResponse ShardRouter::HandleTrace(const HttpRequest& request) {
-  long n;
-  if (!util::ParseIntFlag(request.QueryOr("n", "16"), 1, 256, &n)) {
-    return ErrorResponse(400, "query parameter n must be an integer in [1, 256]");
-  }
-  HttpResponse response;
-  response.body = RenderRecentTracesJson(static_cast<size_t>(n));
-  return response;
-}
-
 HttpResponse ShardRouter::HandleSnapshot() {
   auto snapshot = maps();
   std::vector<AddressedEndpoint> targets = AddressedEndpoints(*snapshot);
   std::vector<HttpResponse> responses = ForwardAll(
       targets, "POST", "/v1/admin/snapshot", options_.read_timeout_seconds);
-  bool all_saved = true;
-  std::string shards_json;
+  const bool all_saved =
+      std::all_of(responses.begin(), responses.end(),
+                  [](const HttpResponse& r) { return r.status == 200; });
+  JsonWriter json;
+  json.Object().Field("saved", all_saved).Array("shards");
   for (size_t i = 0; i < targets.size(); ++i) {
-    HttpResponse& endpoint_response = responses[i];
-    if (!shards_json.empty()) shards_json += ", ";
-    shards_json += "{\"index\": " + std::to_string(targets[i].range);
-    shards_json += ", \"replica\": " + std::to_string(targets[i].replica);
-    shards_json += ", \"endpoint\": \"" +
-                   JsonEscape(targets[i].endpoint.host) + ":" +
-                   std::to_string(targets[i].endpoint.port) + "\"";
-    shards_json += ", \"status\": " + std::to_string(endpoint_response.status);
-    shards_json += ", \"response\": " + Embed(endpoint_response.body) + "}";
-    if (endpoint_response.status != 200) all_saved = false;
+    // The endpoint's own JSON body, embedded without its trailing newline.
+    std::string_view body = responses[i].body;
+    while (!body.empty() && (body.back() == '\n' || body.back() == '\r')) {
+      body.remove_suffix(1);
+    }
+    json.Object()
+        .Field("index", targets[i].range)
+        .Field("replica", targets[i].replica)
+        .Field("endpoint", HealthKey(targets[i].endpoint))
+        .Field("status", responses[i].status)
+        .Raw("response", body.empty() ? "null" : body)
+        .End();
   }
-  HttpResponse response;
   // Partial success is a gateway-level failure: some process's warm state is
   // NOT on disk, and the operator must know before trusting a restart.
-  response.status = all_saved ? 200 : 502;
-  response.body = std::string("{\"saved\": ") + (all_saved ? "true" : "false") +
-                  ", \"shards\": [" + shards_json + "]}\n";
-  return response;
+  return JsonResponse(json, all_saved ? 200 : 502);
 }
 
 HttpResponse ShardRouter::HandleTransition(const HttpRequest& request) {
   if (request.QueryOr("complete", "0") == "1") {
     auto status = CompleteTransition();
     if (!status.ok()) return ErrorResponse(412, status.message());
-    auto snapshot = maps();
-    HttpResponse response;
-    response.body = "{\"transitioning\": false, \"map_digest\": \"" +
-                    snapshot->digest_hex + "\", \"completed\": true}\n";
-    return response;
+    JsonWriter json;
+    json.Object()
+        .Field("transitioning", false)
+        .Field("map_digest", maps()->digest_hex)
+        .Field("completed", true);
+    return JsonResponse(json);
   }
   if (request.QueryOr("abort", "0") == "1") {
     auto status = AbortTransition();
     if (!status.ok()) return ErrorResponse(412, status.message());
-    auto snapshot = maps();
-    HttpResponse response;
-    response.body = "{\"transitioning\": false, \"map_digest\": \"" +
-                    snapshot->digest_hex + "\", \"aborted\": true}\n";
-    return response;
+    JsonWriter json;
+    json.Object()
+        .Field("transitioning", false)
+        .Field("map_digest", maps()->digest_hex)
+        .Field("aborted", true);
+    return JsonResponse(json);
   }
   if (request.body.empty()) {
     return ErrorResponse(400, "empty body: expected the new shard map spec "
@@ -824,11 +781,12 @@ HttpResponse ShardRouter::HandleTransition(const HttpRequest& request) {
         status.message());
   }
   auto snapshot = maps();
-  HttpResponse response;
-  response.body = "{\"transitioning\": true, \"map_digest\": \"" +
-                  snapshot->digest_hex + "\", \"new_map_digest\": \"" +
-                  snapshot->new_digest_hex + "\"}\n";
-  return response;
+  JsonWriter json;
+  json.Object()
+      .Field("transitioning", true)
+      .Field("map_digest", snapshot->digest_hex)
+      .Field("new_map_digest", snapshot->new_digest_hex);
+  return JsonResponse(json);
 }
 
 }  // namespace htd::net

@@ -190,16 +190,17 @@ class ShardRouter {
   /// histogram observation.
   HttpResponse Dispatch(const HttpRequest& request);
 
-  HttpResponse HandleDecompose(const HttpRequest& request);
-  HttpResponse HandleQuery(const HttpRequest& request);
+  /// /v1/decompose and /v1/query (net/routes.h): parse the body for its
+  /// routing key, then RouteByFingerprint.
+  template <typename Route>
+  HttpResponse HandleRouted(const HttpRequest& request, const Route& route);
   HttpResponse HandleJob(const HttpRequest& request);
   HttpResponse HandleStats();
   HttpResponse HandleMetrics();
-  HttpResponse HandleTrace(const HttpRequest& request);
   HttpResponse HandleSnapshot();
   HttpResponse HandleTransition(const HttpRequest& request);
 
-  /// Shared forwarding tail of HandleDecompose and HandleQuery: route
+  /// Shared forwarding tail of HandleRouted: route
   /// `request` to the range owning `fp` under the current map, double-route
   /// mid-transition, prefix async job ids, and guarantee an
   /// X-HTD-Request-Id on the way out.

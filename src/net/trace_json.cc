@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "net/json.h"
+#include "util/cli.h"
 #include "util/trace.h"
 
 namespace htd::net {
@@ -16,44 +17,38 @@ std::string MsJson(uint64_t ns) {
   return std::string(buf);
 }
 
-std::string SpanJson(const util::TraceSpan& span) {
-  std::string json = "{\"id\": \"" + util::TraceIdHex(span.id) + "\"";
-  json += ", \"parent\": \"" + util::TraceIdHex(span.parent) + "\"";
-  json += ", \"name\": \"" + JsonEscape(span.Name()) + "\"";
-  json += ", \"start_ms\": " + MsJson(span.start_ns);
-  json += ", \"duration_ms\": " + MsJson(span.duration_ns);
-  json += ", \"tag\": " + std::to_string(span.tag);
-  json += "}";
-  return json;
+/// Opens one span's object: a child carries its parent's id; a root leaves
+/// it out and gets its children under "spans".
+JsonWriter& WriteSpan(JsonWriter& json, const util::TraceSpan& span,
+                      bool child) {
+  json.Object().Field("id", util::TraceIdHex(span.id));
+  if (child) json.Field("parent", util::TraceIdHex(span.parent));
+  return json.Field("name", span.Name())
+      .Raw("start_ms", MsJson(span.start_ns))
+      .Raw("duration_ms", MsJson(span.duration_ns))
+      .Field("tag", span.tag);
 }
 
 }  // namespace
 
-std::string RenderRecentTracesJson(size_t n) {
-  util::TraceRegistry& registry = util::TraceRegistry::Instance();
-  auto roots = registry.RecentRoots(n);
-  std::string body = std::string("{\"enabled\": ") +
-                     (registry.enabled() ? "true" : "false") + ", \"traces\": [";
-  bool first_root = true;
-  for (const util::TraceRegistry::RootTrace& trace : roots) {
-    if (!first_root) body += ", ";
-    first_root = false;
-    body += "{\"id\": \"" + util::TraceIdHex(trace.root.id) + "\"";
-    body += ", \"name\": \"" + JsonEscape(trace.root.Name()) + "\"";
-    body += ", \"start_ms\": " + MsJson(trace.root.start_ns);
-    body += ", \"duration_ms\": " + MsJson(trace.root.duration_ns);
-    body += ", \"tag\": " + std::to_string(trace.root.tag);
-    body += ", \"spans\": [";
-    bool first_span = true;
-    for (const util::TraceSpan& span : trace.spans) {
-      if (!first_span) body += ", ";
-      first_span = false;
-      body += SpanJson(span);
-    }
-    body += "]}";
+HttpResponse HandleTrace(const HttpRequest& request) {
+  long n;
+  if (!util::ParseIntFlag(request.QueryOr("n", "16"), 1, 256, &n)) {
+    return JsonErrorResponse(400,
+                             "query parameter n must be an integer in [1, 256]");
   }
-  body += "]}\n";
-  return body;
+  util::TraceRegistry& registry = util::TraceRegistry::Instance();
+  JsonWriter json;
+  json.Object().Field("enabled", registry.enabled()).Array("traces");
+  for (const util::TraceRegistry::RootTrace& trace :
+       registry.RecentRoots(static_cast<size_t>(n))) {
+    WriteSpan(json, trace.root, /*child=*/false).Array("spans");
+    for (const util::TraceSpan& span : trace.spans) {
+      WriteSpan(json, span, /*child=*/true).End();
+    }
+    json.End().End();
+  }
+  return JsonResponse(json);
 }
 
 }  // namespace htd::net

@@ -1,5 +1,5 @@
-// JSON rendering of the process's recent traces (GET /v1/trace), shared by
-// the backend server and the shard router so both emit the same shape:
+// GET /v1/trace?n=K, the process's recent traces as JSON, served alike by
+// the backend server and the shard router:
 //
 //   {"enabled": true, "traces": [
 //     {"id": "<16 hex>", "name": "request", "start_ms": ..,
@@ -13,12 +13,12 @@
 // response header straight into this output.
 #pragma once
 
-#include <cstddef>
-#include <string>
+#include "net/http.h"
 
 namespace htd::net {
 
-/// Body of GET /v1/trace?n=K (trailing newline included).
-std::string RenderRecentTracesJson(size_t n);
+/// The answer to GET /v1/trace: the `n` most recent traces (default 16;
+/// an n outside [1, 256] is a 400).
+HttpResponse HandleTrace(const HttpRequest& request);
 
 }  // namespace htd::net

@@ -34,6 +34,17 @@ ShardMap::ShardMap(std::vector<std::vector<ShardEndpoint>> replicas)
   step_ = n == 1 ? 0 : (~0ULL / n) + 1;
 }
 
+std::optional<ShardEndpoint> ShardEndpoint::Parse(std::string_view text) {
+  const size_t colon = text.rfind(':');
+  long port;
+  if (colon == std::string_view::npos || colon == 0 ||
+      !util::ParseIntFlag(text.substr(colon + 1), 1, 65535, &port)) {
+    return std::nullopt;
+  }
+  return ShardEndpoint{std::string(text.substr(0, colon)),
+                       static_cast<int>(port)};
+}
+
 util::StatusOr<ShardMap> ShardMap::Parse(const std::string& spec) {
   std::vector<std::vector<ShardEndpoint>> replicas;
   int pending_replicas = 0;  // plain items still owed to the open group

@@ -35,7 +35,9 @@
 // (each shard persists only its range; see service/persistence.h).
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/canonical.h"
@@ -50,6 +52,10 @@ struct ShardEndpoint {
   bool operator==(const ShardEndpoint& other) const {
     return host == other.host && port == other.port;
   }
+
+  /// Parses "host:port" (non-empty host, port in [1, 65535]); nullopt when
+  /// malformed.
+  static std::optional<ShardEndpoint> Parse(std::string_view text);
 };
 
 class ShardMap {

@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "util/logging.h"
 
@@ -33,38 +34,9 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_available_.notify_one();
 }
 
-void ThreadPool::SubmitBatch(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    HTD_CHECK(!shutting_down_) << "SubmitBatch after shutdown";
-    for (auto& task : tasks) {
-      HTD_CHECK(task != nullptr);
-      queue_.push_back(std::move(task));
-    }
-  }
-  if (tasks.size() >= workers_.size()) {
-    work_available_.notify_all();
-  } else {
-    for (size_t i = 0; i < tasks.size(); ++i) work_available_.notify_one();
-  }
-}
-
 void ThreadPool::WaitIdle() {
   std::unique_lock<std::mutex> lock(mutex_);
   idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-size_t ThreadPool::exception_count() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return exception_count_;
-}
-
-std::exception_ptr ThreadPool::TakeException() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  std::exception_ptr e = first_exception_;
-  first_exception_ = nullptr;
-  return e;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -81,18 +53,14 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
       ++active_;
     }
-    std::exception_ptr escaped;
     try {
       task();
     } catch (...) {
-      escaped = std::current_exception();
+      // A throwing task must not take the worker down; report and go on.
+      std::fputs("thread_pool: a task threw; worker continues\n", stderr);
     }
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (escaped) {
-        if (!first_exception_) first_exception_ = escaped;
-        ++exception_count_;
-      }
       --active_;
       if (queue_.empty() && active_ == 0) idle_.notify_all();
     }

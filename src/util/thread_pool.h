@@ -1,23 +1,19 @@
-// Fixed-size thread pool.
+// Fixed-size thread pool that runs the HTTP server's request handlers
+// (src/net/server.*): the epoll loops own the connections, and each parsed
+// request is submitted here because a handler may block for the length of
+// a synchronous solve. All compute — the parallel separator search and the
+// service-layer batch scheduler — runs on the fleet-wide work-stealing
+// executor instead (util/executor.h). Tasks are plain
+// std::function<void()>; coordination (result hand-off) is owned by the
+// caller.
 //
-// Used by the HTTP server's IO loop (src/net/server.*), where blocking a
-// dedicated thread per live connection is the point. All compute — the
-// parallel separator search and the service-layer batch scheduler — runs on
-// the fleet-wide work-stealing executor instead (util/executor.h). Tasks
-// are plain std::function<void()>; coordination (early exit, result
-// hand-off) is owned by the caller.
-//
-// Exception safety: a task that throws does not take down the worker thread.
-// The first escaped exception is recorded and can be re-examined (or
-// rethrown) by the owner via TakeException(); later ones only bump
-// exception_count(). Callers that need per-task propagation (the scheduler)
-// wrap their tasks in promise/future pairs instead of relying on this.
+// A task that throws does not take down its worker: the worker reports it on
+// stderr and moves on. The server's dispatch lambda already turns handler
+// exceptions into a 500, so no request is lost to it.
 #pragma once
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -37,35 +33,18 @@ class ThreadPool {
   /// Enqueues a task for execution.
   void Submit(std::function<void()> task);
 
-  /// Enqueues a batch of tasks under a single lock acquisition and wakes
-  /// enough workers to drain it. Cheaper than a Submit() loop when fanning
-  /// out many jobs at once (the scheduler's common case).
-  void SubmitBatch(std::vector<std::function<void()>> tasks);
-
   /// Blocks until every submitted task has finished executing.
   void WaitIdle();
-
-  /// Number of tasks whose exceptions escaped into the worker loop so far.
-  size_t exception_count() const;
-
-  /// Returns the first recorded task exception and clears it (nullptr when
-  /// none). The count is left untouched so callers can still detect that
-  /// further tasks failed.
-  std::exception_ptr TakeException();
-
-  int num_threads() const { return static_cast<int>(workers_.size()); }
 
  private:
   void WorkerLoop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable idle_;
   std::deque<std::function<void()>> queue_;
   int active_ = 0;
   bool shutting_down_ = false;
-  std::exception_ptr first_exception_;
-  size_t exception_count_ = 0;
   std::vector<std::thread> workers_;
 };
 

@@ -126,7 +126,9 @@ TEST(TaskGroupTest, WaitRunsEverySpawnedTaskAtAnyWorkerCount) {
     group.Wait();
     EXPECT_EQ(ran.load(), 100) << workers << " workers";
     EXPECT_GE(group.peak_width(), 1);
-    EXPECT_LE(group.peak_width(), workers);
+    // Wait() drains the group's own bag on the calling thread, so the
+    // waiter can run one task beside every worker.
+    EXPECT_LE(group.peak_width(), workers + 1);
   }
 }
 

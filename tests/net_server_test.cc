@@ -77,7 +77,6 @@ DecompositionServerOptions BaseOptions() {
   DecompositionServerOptions options;
   options.http.port = 0;  // ephemeral
   options.http.io_threads = 4;
-  options.service.num_workers = 2;
   options.service.default_timeout_seconds = 30.0;
   return options;
 }
@@ -165,7 +164,6 @@ TEST(NetServerTest, AsyncJobLifecycle) {
 
 TEST(NetServerTest, AdmissionControlShedsWith429) {
   DecompositionServerOptions options = BaseOptions();
-  options.service.num_workers = 1;
   options.max_queue_depth = 2;
   options.retry_after_seconds = 3;
   auto server = DecompositionServer::Create(options);
@@ -202,7 +200,6 @@ TEST(NetServerTest, AdmissionControlShedsWith429) {
 
 TEST(NetServerTest, SyncFloodShedsAtTheConnectionBound) {
   DecompositionServerOptions options = BaseOptions();
-  options.service.num_workers = 1;
   options.http.io_threads = 2;
   options.http.max_connections = 2;  // both slots will be pinned
   auto server = DecompositionServer::Create(options);
@@ -278,7 +275,6 @@ TEST(NetServerTest, AsyncQueryJobsCountAgainstTheAdmissionBound) {
   // the 429 bound without limit. They now run on the executor's background
   // lane and are counted, so the same bound covers both job kinds.
   DecompositionServerOptions options = BaseOptions();
-  options.service.num_workers = 1;
   options.max_queue_depth = 2;
   options.retry_after_seconds = 3;
   auto server = DecompositionServer::Create(options);

@@ -243,7 +243,6 @@ TEST(PortfolioTest, PickBestMinimisesEstimatedCost) {
 
 service::ServiceOptions SmallService() {
   service::ServiceOptions options;
-  options.num_workers = 2;
   return options;
 }
 

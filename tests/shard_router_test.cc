@@ -11,9 +11,11 @@
 #include <string>
 #include <vector>
 
+#include "cq/query.h"
 #include "hypergraph/generators.h"
 #include "hypergraph/writer.h"
 #include "net/decomposition_server.h"
+#include "qa/wire.h"
 #include "service/canonical.h"
 #include "util/metrics.h"
 
@@ -69,7 +71,6 @@ struct Fleet {
       DecompositionServerOptions options;
       options.http.port = 0;
       options.http.io_threads = 2;
-      options.service.num_workers = 2;
       options.service.default_timeout_seconds = 30.0;
       auto server = DecompositionServer::Create(options);
       EXPECT_TRUE(server.ok()) << server.status().message();
@@ -242,6 +243,54 @@ TEST(ShardRouterTest, RouterRejectsGarbageBeforeForwarding) {
       << "bad requests must be refused without a forward";
 }
 
+TEST(ShardRouterTest, NumericQueryParametersParseAlikeOnBothSides) {
+  // A value with leading whitespace is malformed on the backend exactly as
+  // on the router; requests go through the wire parser, so %20 decodes the
+  // way it does off a socket.
+  Fleet fleet = Fleet::Start();
+  auto parsed = [](const std::string& target, const std::string& body) {
+    const std::string method = body.empty() ? "GET " : "POST ";
+    HttpRequestParser parser;
+    EXPECT_EQ(parser.Consume(method + target + " HTTP/1.1\r\nContent-Length: " +
+                             std::to_string(body.size()) + "\r\n\r\n" + body),
+              HttpRequestParser::State::kDone)
+        << target;
+    return parser.TakeRequest();
+  };
+  auto query = cq::ParseQuery("R(X,Y), S(Y,Z).");
+  ASSERT_TRUE(query.ok());
+  cq::Database db;
+  db.AddRelation({"R", 2, {{1, 2}}});
+  db.AddRelation({"S", 2, {{2, 3}}});
+  auto query_body = qa::RenderQueryRequest(*query, db);
+  ASSERT_TRUE(query_body.ok());
+  const std::string& instance = fleet.on_shard0;
+  const std::vector<std::pair<std::string, std::string>> malformed = {
+      {"/v1/decompose?k=%202", instance},
+      {"/v1/decompose?k=2&timeout=%201", instance},
+      {"/v1/query?timeout=%201", *query_body},
+      {"/v1/trace?n=%2016", ""},
+  };
+  for (const auto& [target, body] : malformed) {
+    EXPECT_EQ(fleet.shards[0]->Handle(parsed(target, body)).status, 400)
+        << "backend: " << target;
+    EXPECT_EQ(fleet.router->Handle(parsed(target, body)).status, 400)
+        << "router: " << target;
+  }
+  // The same parameters without the space are accepted on both sides.
+  for (const auto& [target, body] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"/v1/decompose?k=2&timeout=1", instance},
+           {"/v1/query?timeout=1", *query_body},
+           {"/v1/trace?n=16", ""}}) {
+    EXPECT_EQ(fleet.shards[0]->Handle(parsed(target, body)).status, 200)
+        << "backend: " << target;
+    EXPECT_EQ(fleet.router->Handle(parsed(target, body)).status, 200)
+        << "router: " << target;
+  }
+  fleet.Stop();
+}
+
 TEST(ShardRouterTest, BackendRejectsMismatchedDigestWith421) {
   // A backend configured as its instance's OWNING shard of map A receives a
   // request hashed against map B: refused, counted, never admitted.
@@ -249,7 +298,6 @@ TEST(ShardRouterTest, BackendRejectsMismatchedDigestWith421) {
   std::string instance = WriteHyperBench(graph);
   DecompositionServerOptions options;
   options.http.port = 0;
-  options.service.num_workers = 1;
   options.shard_map = MustParse("127.0.0.1:1001,127.0.0.1:1002");
   const int owner =
       options.shard_map->IndexFor(service::CanonicalFingerprint(graph));
@@ -286,7 +334,6 @@ TEST(ShardRouterTest, BackendSelfEnforcesItsRangeOnDirectRequests) {
   // range-filtered snapshot drops.
   DecompositionServerOptions options;
   options.http.port = 0;
-  options.service.num_workers = 1;
   options.shard_map = MustParse("127.0.0.1:1001,127.0.0.1:1002");
   options.shard_index = 0;
   auto server = DecompositionServer::Create(options);

@@ -130,19 +130,16 @@ int main(int argc, char** argv) {
     } else if (flag == "--to") {
       args.to_spec = next("--to");
     } else if (flag == "--router") {
-      std::string endpoint = next("--router");
-      size_t colon = endpoint.rfind(':');
-      long port;
-      if (colon == std::string::npos || colon == 0 ||
-          !htd::util::ParseIntFlag(endpoint.substr(colon + 1), 1, 65535,
-                                   &port)) {
+      const char* text = next("--router");
+      auto endpoint = htd::service::ShardEndpoint::Parse(text);
+      if (!endpoint.has_value()) {
         std::fprintf(stderr, "invalid value for --router: \"%s\" (expected "
-                             "host:port)\n\n", endpoint.c_str());
+                             "host:port)\n\n", text);
         Usage(argv[0]);
         return 2;
       }
-      args.router_host = endpoint.substr(0, colon);
-      args.router_port = static_cast<int>(port);
+      args.router_host = endpoint->host;
+      args.router_port = endpoint->port;
       args.have_router = true;
     } else if (flag == "--timeout") {
       if (!htd::util::ParseDoubleFlag(next("--timeout"), 0.0, &args.timeout)) {

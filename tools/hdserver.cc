@@ -189,6 +189,7 @@ int main(int argc, char** argv) {
   options.service.solve.num_threads = 0;  // batch-aware auto
   options.service.default_timeout_seconds = 30.0;
   bool save_on_exit = true;
+  int workers = 4;
   double snapshot_interval = 0.0;
   bool have_shard_index = false;
   std::string route_to_spec;
@@ -225,7 +226,7 @@ int main(int argc, char** argv) {
       options.http.write_timeout_seconds =
           RequireSeconds(argv[0], "--write-timeout", next("--write-timeout"));
     } else if (flag == "--workers") {
-      options.service.num_workers = static_cast<int>(
+      workers = static_cast<int>(
           RequireInt(argv[0], "--workers", next("--workers"), 1, 1024));
     } else if (flag == "--threads") {
       options.service.solve.num_threads = static_cast<int>(
@@ -323,7 +324,7 @@ int main(int argc, char** argv) {
 
   // Size the fleet-wide executor before anything touches Global(): every
   // flight, chunk task, and async query job in this process runs on it.
-  htd::util::Executor::InitGlobal(options.service.num_workers);
+  htd::util::Executor::InitGlobal(workers);
   auto server = htd::net::DecompositionServer::Create(options);
   if (!server.ok()) {
     std::fprintf(stderr, "hdserver: %s\n", server.status().message().c_str());
@@ -338,7 +339,8 @@ int main(int argc, char** argv) {
   std::printf(
       "hdserver: listening on %s:%d (solver %s, %d workers, queue depth %d)\n",
       options.http.host.c_str(), (*server)->port(),
-      options.service.solver_name.c_str(), options.service.num_workers,
+      options.service.solver_name.c_str(),
+      htd::util::Executor::Global().num_workers(),
       options.max_queue_depth);
   if (options.shard_map.has_value()) {
     std::printf("hdserver: shard %d/%d of %s (digest %s)\n",
