@@ -148,7 +148,7 @@ int main() {
     size_t cache_hits = 0, store_present = 0;
     for (const service::Fingerprint& fp : cache_keys) {
       Shard& owner = fleet[static_cast<size_t>(map.IndexFor(fp))];
-      if (owner.cache->Lookup(KeyOf(fp)).has_value()) ++cache_hits;
+      if (owner.cache->Lookup(KeyOf(fp)) != nullptr) ++cache_hits;
     }
     for (const service::Fingerprint& fp : store_keys) {
       // Presence probe via a range export of exactly this key's hi slot.

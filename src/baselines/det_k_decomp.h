@@ -19,6 +19,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/parallel_search.h"
 #include "core/search_types.h"
 #include "core/solver.h"
 #include "decomp/components.h"
@@ -60,8 +61,11 @@ class DetKEngine {
     }
   };
 
+  /// Cancelled, or a parallel search level enclosing this call was decided
+  /// by another slot (core/parallel_search.h).
   bool ShouldStop() const {
-    return options_.cancel != nullptr && options_.cancel->ShouldStop();
+    return (options_.cancel != nullptr && options_.cancel->ShouldStop()) ||
+           SearchLevelDecided();
   }
 
   bool CacheLookup(const CacheKey& key) {

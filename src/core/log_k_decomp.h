@@ -65,8 +65,11 @@ class LogKEngine {
 
   double MetricValue(const ExtendedSubhypergraph& comp) const;
 
+  /// Cancelled, or a parallel search level enclosing this call was decided
+  /// by another slot (core/parallel_search.h).
   bool ShouldStop() const {
-    return options_.cancel != nullptr && options_.cancel->ShouldStop();
+    return (options_.cancel != nullptr && options_.cancel->ShouldStop()) ||
+           SearchLevelDecided();
   }
 
   const Hypergraph& graph_;

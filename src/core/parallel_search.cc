@@ -9,6 +9,42 @@
 
 namespace htd {
 
+namespace {
+
+/// One parallel search level as seen from inside one of its slots: the
+/// level's decision flag, linked to the level enclosing it.
+struct SearchLevel {
+  const std::atomic<int>* done;
+  const SearchLevel* enclosing;
+};
+
+thread_local const SearchLevel* tl_search_level = nullptr;
+
+/// Installs a level for one slot body and restores the outer one on exit,
+/// exceptions included.
+class InstallLevel {
+ public:
+  explicit InstallLevel(const SearchLevel* level) : outer_(tl_search_level) {
+    tl_search_level = level;
+  }
+  ~InstallLevel() { tl_search_level = outer_; }
+  InstallLevel(const InstallLevel&) = delete;
+  InstallLevel& operator=(const InstallLevel&) = delete;
+
+ private:
+  const SearchLevel* outer_;
+};
+
+}  // namespace
+
+bool SearchLevelDecided() {
+  for (const SearchLevel* level = tl_search_level; level != nullptr;
+       level = level->enclosing) {
+    if (level->done->load(std::memory_order_relaxed) != 0) return true;
+  }
+  return false;
+}
+
 int ThreadBudget::Claim(int want) {
   if (want <= 0) return 0;
   int current = available_.load(std::memory_order_relaxed);
@@ -86,39 +122,41 @@ SearchOutcome DriveCandidates(int n, int k, int first_limit, int extra_workers,
   SearchOutcome result = SearchOutcome::NotFound();
   std::vector<long> work(num_workers, 0);
 
+  // Captured on the calling thread: the slots run wherever the executor
+  // puts them, and each installs this level for exactly its own body.
+  const SearchLevel level{&done, tl_search_level};
+
   auto worker = [&](int slot) {
+    InstallLevel installed(&level);
     // One span per worker: duration is the worker's whole share of this
     // level's search, so a trace shows how evenly the chunks divided.
     util::TraceScope span("sep_worker", trace, static_cast<uint64_t>(slot));
     const long steps_before = CurrentSearchSteps();
-    while (done.load(std::memory_order_relaxed) == 0) {
-      size_t chunk_index = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (chunk_index >= chunks.size()) break;
-      const util::SubsetChunk& chunk = chunks[chunk_index];
-      util::FixedFirstEnumerator enumerator(n, chunk.size, chunk.first);
-      while (enumerator.Next()) {
-        if (done.load(std::memory_order_relaxed) != 0) {
-          work[slot] = CurrentSearchSteps() - steps_before;
-          return;
-        }
-        SearchOutcome outcome = try_candidate(enumerator.indices());
-        if (outcome.status != SearchStatus::kNotFound) {
-          {
+    auto search = [&] {
+      while (!SearchLevelDecided()) {
+        size_t chunk_index = next_chunk.fetch_add(1, std::memory_order_relaxed);
+        if (chunk_index >= chunks.size()) return;
+        const util::SubsetChunk& chunk = chunks[chunk_index];
+        util::FixedFirstEnumerator enumerator(n, chunk.size, chunk.first);
+        while (enumerator.Next()) {
+          if (SearchLevelDecided()) return;
+          SearchOutcome outcome = try_candidate(enumerator.indices());
+          if (outcome.status != SearchStatus::kNotFound) {
             std::lock_guard<std::mutex> lock(result_mutex);
-            // Keep the first decisive outcome; prefer kFound over kStopped so
-            // a successful worker is not masked by a timeout racing in.
+            // Keep the first decisive outcome; prefer kFound over kStopped
+            // so a successful worker is not masked by a stop racing in.
             if (result.status == SearchStatus::kNotFound ||
                 (result.status == SearchStatus::kStopped &&
                  outcome.status == SearchStatus::kFound)) {
               result = std::move(outcome);
             }
             done.store(1, std::memory_order_relaxed);
+            return;
           }
-          work[slot] = CurrentSearchSteps() - steps_before;
-          return;
         }
       }
-    }
+    };
+    search();
     work[slot] = CurrentSearchSteps() - steps_before;
   };
 
@@ -144,6 +182,11 @@ SearchOutcome DriveCandidates(int n, int k, int first_limit, int extra_workers,
   }
   stats.work_total.fetch_add(total, std::memory_order_relaxed);
   stats.work_parallel.fetch_add(max_work, std::memory_order_relaxed);
+  // Slots that saw an enclosing level's decision left without a verdict:
+  // this level is unfinished, not refuted, and must not be memoised as such.
+  if (result.status == SearchStatus::kNotFound && SearchLevelDecided()) {
+    return SearchOutcome::Stopped();
+  }
   return result;
 }
 

@@ -5,7 +5,9 @@
 // candidate check — including nested recursion — independently. There is no
 // other inter-thread communication, which is why the paper observes linear
 // scaling: the first worker to find a fragment wins, the rest drain out at
-// the next candidate boundary.
+// the next candidate boundary. "The rest" includes every nested search a
+// losing slot started under that level, on whichever thread it runs: the
+// engines' stop checks consult SearchLevelDecided().
 //
 // This file owns no threads. The parallel path spawns its slot workers as
 // tasks into the caller's util::TaskGroup on the fleet-wide work-stealing
@@ -43,6 +45,13 @@ class ThreadBudget {
   std::atomic<int> available_;
 };
 
+/// True once a parallel search level enclosing the calling slot has been
+/// decided (a slot found a fragment or stopped). Nested searches inside a
+/// losing slot then end with kStopped, which no memo ever records. The
+/// signal lives in a thread-local installed around each slot body only, so
+/// it never reaches unrelated tasks the executor runs on the same thread.
+bool SearchLevelDecided();
+
 /// Signature of a candidate check: receives the candidate's indices into the
 /// caller's candidate-edge list. kNotFound means "this candidate fails";
 /// kFound/kStopped end the whole search.
@@ -54,7 +63,9 @@ using CandidateFn = std::function<SearchOutcome(const std::vector<int>&)>;
 /// and the calling thread drains the group inline (work-stealing workers
 /// pick up whatever it hasn't started yet). Records search-step work into
 /// `stats`: work_total accumulates every step, work_parallel the longest
-/// slot's share per search (see SolveStats).
+/// slot's share per search (see SolveStats). A parallel level whose slots
+/// left early because an enclosing level was decided returns kStopped,
+/// never kNotFound: it did not try every candidate.
 ///
 /// `simulate_workers` (> 1, only meaningful with extra_workers == 0) runs the
 /// search sequentially but additionally computes the makespan the solver's

@@ -33,9 +33,14 @@ const char* OutcomeName(Outcome outcome) {
   return "?";
 }
 
-HttpResponse ErrorResponse(int status, const std::string& message) {
-  return JsonErrorResponse(status, message);
-}
+/// Completed async job records retained for GET /v1/jobs/<id> (oldest
+/// evicted first). Unresolved jobs are never evicted.
+constexpr size_t kMaxRetainedJobs = 1024;
+/// Transport timeout for one migration push (POST /v1/admin/import to a new
+/// owner). Blobs can be large, so it is generous.
+constexpr double kMigratePushTimeoutSeconds = 300.0;
+/// Transport timeout for one anti-entropy digest or slice pull.
+constexpr double kAntiEntropyPullTimeoutSeconds = 60.0;
 
 /// Server-Timing header value (RFC draft syntax: name;dur=millis, comma
 /// separated) for the stage breakdown of one synchronous request.
@@ -493,7 +498,7 @@ HttpResponse DecompositionServer::Dispatch(const HttpRequest& request) {
   }
   if (request.path.rfind("/v1/jobs/", 0) == 0) {
     if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/jobs/<id>");
+      return JsonErrorResponse(405, "use GET for /v1/jobs/<id>");
     }
     return HandleJob(request.path.substr(sizeof("/v1/jobs/") - 1));
   }
@@ -524,7 +529,7 @@ HttpResponse DecompositionServer::Dispatch(const HttpRequest& request) {
   if (request.path == "/v1/admin/antientropy") {
     return OnlyMethod(request, "POST", [&] { return HandleAntiEntropy(); });
   }
-  return ErrorResponse(404, "unknown route: " + request.path);
+  return JsonErrorResponse(404, "unknown route: " + request.path);
 }
 
 HttpResponse DecompositionServer::HandleAdmitted(const HttpRequest& request) {
@@ -571,7 +576,7 @@ std::optional<HttpResponse> DecompositionServer::Admit(
     if (digest != request.headers.end()) {
       if (!DigestAccepted(*shard, digest->second)) {
         misrouted_->Add();
-        return ErrorResponse(
+        return JsonErrorResponse(
             421, "shard map digest mismatch: this shard is " +
                      std::to_string(shard->index) + "/" +
                      std::to_string(shard->map.num_shards()) + " of " +
@@ -588,11 +593,11 @@ std::optional<HttpResponse> DecompositionServer::Admit(
       service::Fingerprint fp;
       if (!service::Fingerprint::FromHex(fp_header->second, &fp)) {
         bad_requests_->Add();
-        return ErrorResponse(400, "x-htd-shard-fingerprint must be 32 hex digits");
+        return JsonErrorResponse(400, "x-htd-shard-fingerprint must be 32 hex digits");
       }
       if (!RangeAccepted(*shard, fp)) {
         misrouted_->Add();
-        return ErrorResponse(
+        return JsonErrorResponse(
             421, "misrouted: fingerprint " + fp_header->second +
                      " is outside shard " + std::to_string(shard->index) +
                      "'s range");
@@ -603,13 +608,13 @@ std::optional<HttpResponse> DecompositionServer::Admit(
   }
   if (request.body.empty()) {
     bad_requests_->Add();
-    return ErrorResponse(400, route.empty_body);
+    return JsonErrorResponse(400, route.empty_body);
   }
 
   // Shedding comes BEFORE the body parse: an overloaded server must reject
   // in O(1), not pay a parse proportional to the body it is about to refuse.
   if (stopping_.load(std::memory_order_acquire)) {
-    return ErrorResponse(503, "server is shutting down");
+    return JsonErrorResponse(503, "server is shutting down");
   }
   // Admission control: shed rather than queue without bound. The counter is
   // sampled lock-free and approximate (see the header comment); overshoot
@@ -618,7 +623,7 @@ std::optional<HttpResponse> DecompositionServer::Admit(
   if (TotalOutstandingJobs() >=
       static_cast<uint64_t>(options_.max_queue_depth)) {
     shed_->Add();
-    HttpResponse response = ErrorResponse(
+    HttpResponse response = JsonErrorResponse(
         429, "queue full: " + std::to_string(options_.max_queue_depth) +
                  " jobs outstanding; retry later");
     response.headers.emplace_back("Retry-After",
@@ -639,7 +644,7 @@ std::optional<HttpResponse> DecompositionServer::Admit(
   service_->ObserveParseSeconds(*parse_seconds);
   if (!parsed.ok()) {
     bad_requests_->Add();
-    return ErrorResponse(400, route.parse_error + parsed.status().message());
+    return JsonErrorResponse(400, route.parse_error + parsed.status().message());
   }
   if (shard != nullptr && !sender_hashed) {
     // The sender did not prove it hashed with an accepted map (no digest
@@ -655,7 +660,7 @@ std::optional<HttpResponse> DecompositionServer::Admit(
     const service::Fingerprint fp = route.fingerprint(*parsed);
     if (!RangeAccepted(*shard, fp)) {
       misrouted_->Add();
-      return ErrorResponse(
+      return JsonErrorResponse(
           421, std::string("misrouted: ") + route.subject + " fingerprint " +
                    fp.ToHex() + " belongs to shard " +
                    std::to_string(shard->map.IndexFor(fp)) +
@@ -690,7 +695,7 @@ HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
   long k;
   if (!util::ParseIntFlag(request.QueryOr("k", ""), 1, options_.max_k, &k)) {
     bad_requests_->Add();
-    return ErrorResponse(
+    return JsonErrorResponse(
         400, "query parameter k must be an integer in [1, " +
                  std::to_string(options_.max_k) + "]");
   }
@@ -698,7 +703,7 @@ HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
       ParseTimeout(request, service_->options().default_timeout_seconds);
   if (!timeout.has_value()) {
     bad_requests_->Add();
-    return ErrorResponse(400, "query parameter timeout must be seconds >= 0");
+    return JsonErrorResponse(400, "query parameter timeout must be seconds >= 0");
   }
   const bool async = request.QueryOr("async", "0") == "1";
   const bool include_decomposition = request.QueryOr("decomposition", "0") == "1";
@@ -750,13 +755,13 @@ HttpResponse DecompositionServer::HandleQuery(const HttpRequest& request,
       ParseTimeout(request, service_->options().default_timeout_seconds);
   if (!timeout.has_value()) {
     bad_requests_->Add();
-    return ErrorResponse(400, "query parameter timeout must be seconds >= 0");
+    return JsonErrorResponse(400, "query parameter timeout must be seconds >= 0");
   }
   const bool async = request.QueryOr("async", "0") == "1";
   const std::string count_param = request.QueryOr("count", "");
   if (!count_param.empty() && count_param != "0" && count_param != "1") {
     bad_requests_->Add();
-    return ErrorResponse(400, "query parameter count must be 0 or 1");
+    return JsonErrorResponse(400, "query parameter count must be 0 or 1");
   }
   std::optional<bool> count_override;
   if (!count_param.empty()) count_override = count_param == "1";
@@ -811,9 +816,9 @@ HttpResponse DecompositionServer::HandleQuery(const HttpRequest& request,
   if (!answer.ok()) {
     if (answer.status().code() == util::StatusCode::kInvalidArgument) {
       bad_requests_->Add();
-      return ErrorResponse(400, answer.status().message());
+      return JsonErrorResponse(400, answer.status().message());
     }
-    return ErrorResponse(500, answer.status().message());
+    return JsonErrorResponse(500, answer.status().message());
   }
   double serialise_seconds = 0;
   HttpResponse response = Serialise(
@@ -837,7 +842,7 @@ HttpResponse DecompositionServer::FileJob(const char* prefix, AsyncJob job) {
     // Evict the oldest *resolved* records over the retention cap; unresolved
     // jobs stay queryable (their count is bounded by admission control).
     for (auto it = job_order_.begin();
-         jobs_.size() > options_.max_retained_jobs && it != job_order_.end();) {
+         jobs_.size() > kMaxRetainedJobs && it != job_order_.end();) {
       auto found = jobs_.find(*it);
       if (found != jobs_.end() && found->second.done()) {
         jobs_.erase(found);
@@ -858,7 +863,7 @@ HttpResponse DecompositionServer::HandleJob(const std::string& id) {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
     auto it = jobs_.find(id);
     if (it == jobs_.end()) {
-      return ErrorResponse(404, "unknown job id: " + id);
+      return JsonErrorResponse(404, "unknown job id: " + id);
     }
     job = it->second;
   }
@@ -918,7 +923,7 @@ HttpResponse DecompositionServer::HandleSnapshot() {
   if (!saved.ok()) {
     int status =
         saved.status().code() == util::StatusCode::kFailedPrecondition ? 412 : 500;
-    return ErrorResponse(status, saved.status().message());
+    return JsonErrorResponse(status, saved.status().message());
   }
   JsonWriter json;
   json.Object()
@@ -935,8 +940,8 @@ HttpResponse DecompositionServer::HandleExport(const HttpRequest& request) {
   if (range_text.empty()) {
     // No range = everything this server holds (an operator copy drill).
   } else if (!ParseHexRange(range_text, &range)) {
-    return ErrorResponse(400, "query parameter range must be HEX-HEX "
-                              "(fingerprint hi bounds, inclusive)");
+    return JsonErrorResponse(400, "query parameter range must be HEX-HEX "
+                                  "(fingerprint hi bounds, inclusive)");
   }
   service::SnapshotStats written;
   std::string blob = service::EncodeSnapshot(
@@ -960,7 +965,7 @@ std::optional<HttpResponse> DecompositionServer::RefuseForeignDigest(
     return std::nullopt;
   }
   misrouted_->Add();
-  return ErrorResponse(
+  return JsonErrorResponse(
       421, std::string(routed) + " " + digest->second +
                " but this shard accepts " + shard->digest_hex +
                (shard->transitioning() ? " or " + shard->new_digest_hex : ""));
@@ -968,8 +973,8 @@ std::optional<HttpResponse> DecompositionServer::RefuseForeignDigest(
 
 HttpResponse DecompositionServer::HandleImport(const HttpRequest& request) {
   if (request.body.empty()) {
-    return ErrorResponse(400, "empty body: expected a snapshot blob "
-                              "(service/persistence.h format)");
+    return JsonErrorResponse(400, "empty body: expected a snapshot blob "
+                                  "(service/persistence.h format)");
   }
   auto shard = shard_state();
   if (auto refused = RefuseForeignDigest(request, shard.get(),
@@ -991,8 +996,8 @@ HttpResponse DecompositionServer::HandleImport(const HttpRequest& request) {
                                           service_->subproblem_store(), range);
   if (!imported.ok()) {
     bad_requests_->Add();
-    return ErrorResponse(400, "cannot import snapshot blob: " +
-                                  imported.status().message());
+    return JsonErrorResponse(400, "cannot import snapshot blob: " +
+                                      imported.status().message());
   }
   imported_cache_entries_->Add(imported->cache_entries);
   imported_store_entries_->Add(imported->store_entries);
@@ -1010,21 +1015,21 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
   std::lock_guard<std::mutex> migrate_lock(migrate_mutex_);
   auto shard = shard_state();
   if (shard == nullptr) {
-    return ErrorResponse(412, "not a sharded server: /v1/admin/migrate needs "
-                              "--shard-map/--shard-index");
+    return JsonErrorResponse(412, "not a sharded server: /v1/admin/migrate needs "
+                                  "--shard-map/--shard-index");
   }
   if (stopping_.load(std::memory_order_acquire)) {
-    return ErrorResponse(503, "server is shutting down");
+    return JsonErrorResponse(503, "server is shutting down");
   }
 
   if (request.QueryOr("finalise", "0") == "1") {
     if (!shard->transitioning()) {
-      return ErrorResponse(412, "no migration in flight to finalise");
+      return JsonErrorResponse(412, "no migration in flight to finalise");
     }
     if (shard->new_index < 0) {
-      return ErrorResponse(412, "this backend is leaving the fleet "
-                                "(new_index=-1); shut it down instead of "
-                                "finalising");
+      return JsonErrorResponse(412, "this backend is leaving the fleet "
+                                    "(new_index=-1); shut it down instead of "
+                                    "finalising");
     }
     auto next = std::make_shared<ShardState>(*shard->new_map);
     next->index = shard->new_index;
@@ -1043,8 +1048,8 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
   long new_index;
   if (!util::ParseIntFlag(request.QueryOr("new_index", "-1"), -1, 4095,
                           &new_index)) {
-    return ErrorResponse(400, "query parameter new_index must be an integer "
-                              ">= -1 (-1 = this backend leaves the fleet)");
+    return JsonErrorResponse(400, "query parameter new_index must be an integer "
+                                  ">= -1 (-1 = this backend leaves the fleet)");
   }
   // `self` is this process's own endpoint as it appears in the new map. The
   // server cannot know its public host:port, and it matters when the new
@@ -1057,12 +1062,12 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
   if (!self_text.empty()) {
     self = service::ShardEndpoint::Parse(self_text);
     if (!self.has_value()) {
-      return ErrorResponse(400, "query parameter self must be host:port");
+      return JsonErrorResponse(400, "query parameter self must be host:port");
     }
   }
   if (request.body.empty()) {
-    return ErrorResponse(400, "empty body: expected the new shard map spec "
-                              "(host:port,host:port*2,...)");
+    return JsonErrorResponse(400, "empty body: expected the new shard map spec "
+                                  "(host:port,host:port*2,...)");
   }
   std::string spec = request.body;
   while (!spec.empty() && (spec.back() == '\n' || spec.back() == '\r')) {
@@ -1070,23 +1075,23 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
   }
   auto new_map = service::ShardMap::Parse(spec);
   if (!new_map.ok()) {
-    return ErrorResponse(400, "cannot parse new shard map: " +
-                                  new_map.status().message());
+    return JsonErrorResponse(400, "cannot parse new shard map: " +
+                                      new_map.status().message());
   }
   if (new_index >= new_map->num_shards()) {
-    return ErrorResponse(400, "new_index " + std::to_string(new_index) +
-                                  " is outside the new map (" +
-                                  std::to_string(new_map->num_shards()) +
-                                  " shards)");
+    return JsonErrorResponse(400, "new_index " + std::to_string(new_index) +
+                                      " is outside the new map (" +
+                                      std::to_string(new_map->num_shards()) +
+                                      " shards)");
   }
   if (new_map->DigestHex() == shard->digest_hex) {
-    return ErrorResponse(400, "new map equals the current map (digest " +
-                                  shard->digest_hex + "); nothing to migrate");
+    return JsonErrorResponse(400, "new map equals the current map (digest " +
+                                      shard->digest_hex + "); nothing to migrate");
   }
   if (shard->transitioning() &&
       (shard->new_digest_hex != new_map->DigestHex() ||
        shard->new_index != static_cast<int>(new_index))) {
-    return ErrorResponse(
+    return JsonErrorResponse(
         409, "a different migration is already in flight (to digest " +
                  shard->new_digest_hex + ", new_index " +
                  std::to_string(shard->new_index) +
@@ -1141,7 +1146,7 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
       const service::ShardEndpoint& target = new_map->replica(j, r);
       if (self.has_value() && target == *self) continue;
       FetchOptions fetch;
-      fetch.read_timeout_seconds = options_.migrate_push_timeout_seconds;
+      fetch.read_timeout_seconds = kMigratePushTimeoutSeconds;
       FetchResult pushed =
           entries == 0
               ? FetchResult{FetchResult::Transport::kOk, 200, {}, "", ""}
@@ -1190,15 +1195,15 @@ HttpResponse DecompositionServer::HandleDigest(const HttpRequest& request) {
   if (shard != nullptr) range = shard->range;
   const std::string range_text = request.QueryOr("range", "");
   if (!range_text.empty() && !ParseHexRange(range_text, &range)) {
-    return ErrorResponse(400, "query parameter range must be HEX-HEX "
-                              "(fingerprint hi bounds, inclusive)");
+    return JsonErrorResponse(400, "query parameter range must be HEX-HEX "
+                                  "(fingerprint hi bounds, inclusive)");
   }
   long slices;
   if (!util::ParseIntFlag(
           request.QueryOr("slices", std::to_string(options_.anti_entropy_slices)),
           1, 4096, &slices)) {
-    return ErrorResponse(400,
-                         "query parameter slices must be an integer in [1, 4096]");
+    return JsonErrorResponse(400,
+                             "query parameter slices must be an integer in [1, 4096]");
   }
   HttpResponse response;
   response.content_type = "text/plain; charset=utf-8";
@@ -1214,7 +1219,7 @@ HttpResponse DecompositionServer::HandleAntiEntropy() {
     int status = swept.status().code() == util::StatusCode::kFailedPrecondition
                      ? 412
                      : 500;
-    return ErrorResponse(status, swept.status().message());
+    return JsonErrorResponse(status, swept.status().message());
   }
   JsonWriter json;
   json.Object()
@@ -1298,7 +1303,7 @@ DecompositionServer::RunAntiEntropySweep() {
       "/v1/admin/digest?range=" + HexRange(state->range) +
       "&slices=" + std::to_string(options_.anti_entropy_slices);
   FetchOptions fetch;
-  fetch.read_timeout_seconds = options_.anti_entropy_pull_timeout_seconds;
+  fetch.read_timeout_seconds = kAntiEntropyPullTimeoutSeconds;
 
   for (size_t s = 0; s < siblings.size(); ++s) {
     if (stopping_.load(std::memory_order_acquire)) break;

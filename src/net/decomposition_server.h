@@ -126,10 +126,6 @@ struct DecompositionServerOptions {
   /// Advertised in the Retry-After header of shed responses.
   int retry_after_seconds = 1;
 
-  /// Completed async job records retained for GET /v1/jobs/<id> (oldest
-  /// evicted first). Unresolved jobs are never evicted.
-  size_t max_retained_jobs = 1024;
-
   /// Snapshot file for warm-state persistence; empty disables the
   /// /v1/admin/snapshot route and startup restore.
   std::string snapshot_path;
@@ -156,10 +152,6 @@ struct DecompositionServerOptions {
   std::optional<service::ShardMap> shard_map;
   int shard_index = -1;
 
-  /// Transport timeout for one migration push (POST /v1/admin/import to a
-  /// new owner). Blobs can be large; default is generous.
-  double migrate_push_timeout_seconds = 300.0;
-
   /// Anti-entropy between replica siblings (docs/OPERATIONS.md): every
   /// interval, compare warm-state digests with the other replicas of this
   /// range and pull the differing slices. 0 (the default) disables the
@@ -176,8 +168,6 @@ struct DecompositionServerOptions {
   /// unidentifiable self degrades to pulling from every replica, where the
   /// self-pull is a digest-equal no-op.
   std::string anti_entropy_self;
-  /// Transport timeout for one digest or slice pull.
-  double anti_entropy_pull_timeout_seconds = 60.0;
 };
 
 class DecompositionServer {
@@ -303,7 +293,7 @@ class DecompositionServer {
                          const std::function<void(JsonWriter&)>& write,
                          double* seconds);
   /// Files `job` under a fresh "<prefix><N>" id, evicts the oldest resolved
-  /// records over max_retained_jobs, and returns the 202.
+  /// records over kMaxRetainedJobs, and returns the 202.
   HttpResponse FileJob(const char* prefix, AsyncJob job);
   HttpResponse HandleJob(const std::string& id);
   /// The 421 (counted as misrouted) for a request carrying an

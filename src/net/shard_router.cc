@@ -1,6 +1,7 @@
 #include "net/shard_router.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <set>
 
@@ -15,9 +16,8 @@ namespace htd::net {
 
 namespace {
 
-HttpResponse ErrorResponse(int status, const std::string& message) {
-  return JsonErrorResponse(status, message);
-}
+/// Ceiling of the doubling per-endpoint backoff after transport failures.
+constexpr double kBackoffMaxSeconds = 30.0;
 
 /// Inserts `prefix` in front of the job id in a 202/200 job body.
 void PrefixJobIdRaw(HttpResponse* response, const std::string& prefix) {
@@ -195,7 +195,7 @@ void ShardRouter::RecordFailure(const std::string& key) {
   health.consecutive_failures =
       std::min(health.consecutive_failures + 1, 30);  // cap the shift below
   const double backoff =
-      std::min(options_.backoff_max_seconds,
+      std::min(kBackoffMaxSeconds,
                options_.backoff_base_seconds *
                    static_cast<double>(1ULL << (health.consecutive_failures - 1)));
   health.retry_at = std::chrono::steady_clock::now() +
@@ -211,7 +211,7 @@ HttpResponse ShardRouter::ForwardToEndpoint(
   const std::string key = HealthKey(endpoint);
   *transport_failed = true;
   if (InBackoff(key)) {
-    HttpResponse response = ErrorResponse(
+    HttpResponse response = JsonErrorResponse(
         503, "endpoint " + key +
                  " is backing off after transport failures; retry later");
     response.headers.emplace_back("Retry-After",
@@ -244,20 +244,20 @@ HttpResponse ShardRouter::ForwardToEndpoint(
     RecordFailure(key);
     switch (result.transport) {
       case FetchResult::Transport::kConnectFailed: {
-        HttpResponse response = ErrorResponse(
+        HttpResponse response = JsonErrorResponse(
             503, "endpoint " + key + " unreachable: " + result.error);
         response.headers.emplace_back(
             "Retry-After", std::to_string(options_.retry_after_seconds));
         return response;
       }
       case FetchResult::Transport::kRecvTimeout:
-        return ErrorResponse(504, "endpoint " + key + " response timed out");
+        return JsonErrorResponse(504, "endpoint " + key + " response timed out");
       case FetchResult::Transport::kParseFailed:
-        return ErrorResponse(502, "endpoint " + key +
-                                      " sent a malformed HTTP response");
+        return JsonErrorResponse(502, "endpoint " + key +
+                                          " sent a malformed HTTP response");
       default:
-        return ErrorResponse(502, "exchange with endpoint " + key +
-                                      " failed: " + result.error);
+        return JsonErrorResponse(502, "exchange with endpoint " + key +
+                                          " failed: " + result.error);
     }
   }
   RecordSuccess(key);
@@ -326,7 +326,7 @@ HttpResponse ShardRouter::ForwardToRange(
     answered = true;
   }
   if (answered) return last;  // every replica down/backing off: best error
-  HttpResponse response = ErrorResponse(
+  HttpResponse response = JsonErrorResponse(
       503, "every replica of shard " + std::to_string(index) +
                " is backing off; retry later");
   response.headers.emplace_back("Retry-After",
@@ -376,7 +376,7 @@ HttpResponse ShardRouter::Handle(const HttpRequest& request) {
 
 HttpResponse ShardRouter::Dispatch(const HttpRequest& request) {
   if (request.headers.count("x-htd-forwarded") != 0) {
-    return ErrorResponse(
+    return JsonErrorResponse(
         508, "routing loop: this router received an already-forwarded request "
              "(is a router listed in its own --route-to map?)");
   }
@@ -407,7 +407,7 @@ HttpResponse ShardRouter::Dispatch(const HttpRequest& request) {
   }
   if (request.path.rfind("/v1/jobs/", 0) == 0) {
     if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/jobs/<id>");
+      return JsonErrorResponse(405, "use GET for /v1/jobs/<id>");
     }
     return HandleJob(request);
   }
@@ -427,19 +427,19 @@ HttpResponse ShardRouter::Dispatch(const HttpRequest& request) {
     return OnlyMethod(request, "POST",
                       [&] { return HandleTransition(request); });
   }
-  return ErrorResponse(404, "unknown route (router): " + request.path);
+  return JsonErrorResponse(404, "unknown route (router): " + request.path);
 }
 
 template <typename Route>
 HttpResponse ShardRouter::HandleRouted(const HttpRequest& request,
                                        const Route& route) {
-  if (request.body.empty()) return ErrorResponse(400, route.empty_body);
+  if (request.body.empty()) return JsonErrorResponse(400, route.empty_body);
   // The router pays one parse + canonicalisation per request to learn the
   // routing key. The shard parses again — the body crosses a process
   // boundary either way, and re-deriving beats trusting a proxy's bytes.
   auto parsed = route.parse(request.body);
   if (!parsed.ok()) {
-    return ErrorResponse(400, route.parse_error + parsed.status().message());
+    return JsonErrorResponse(400, route.parse_error + parsed.status().message());
   }
   return RouteByFingerprint(request, route.fingerprint(*parsed));
 }
@@ -530,26 +530,24 @@ HttpResponse ShardRouter::HandleJob(const HttpRequest& request) {
   // Bare "s<shard>.<id>" ids (pre-replication) poll every replica.
   std::string id = request.path.substr(sizeof("/v1/jobs/") - 1);
   if (id.size() < 3 || id[0] != 's') {
-    return ErrorResponse(404, "unknown job id: " + id +
-                                  " (router job ids look like s0r0.j7)");
+    return JsonErrorResponse(404, "unknown job id: " + id +
+                                      " (router job ids look like s0r0.j7)");
   }
-  size_t dot = id.find('.');
-  if (dot == std::string::npos || dot == 1) {
-    return ErrorResponse(404, "unknown job id: " + id +
-                                  " (router job ids look like s0r0.j7)");
-  }
-  char* end = nullptr;
-  long shard = std::strtol(id.c_str() + 1, &end, 10);
+  // "s" digits ["r" digits] "." — each number is parsed over its exact
+  // digit span, so "s1r.j7", "s+1r0.j7" and "s1r+0.j7" are unknown ids.
+  const std::string_view view(id);
+  const size_t dot = view.find('.');
+  const size_t shard_end = view.find_first_not_of("0123456789", 1);
+  long shard = -1;
   long replica = -1;  // -1 = unqualified: poll every replica
-  bool prefix_ok = end != id.c_str() + 1;
-  if (prefix_ok && end != id.c_str() + dot) {
-    if (*end == 'r') {
-      char* replica_end = nullptr;
-      replica = std::strtol(end + 1, &replica_end, 10);
-      prefix_ok = replica_end == id.c_str() + dot && replica >= 0;
-    } else {
-      prefix_ok = false;
-    }
+  bool prefix_ok =
+      dot != std::string_view::npos &&
+      util::ParseIntFlag(view.substr(1, shard_end - 1), 0, INT_MAX, &shard);
+  if (prefix_ok && shard_end != dot) {
+    prefix_ok = view[shard_end] == 'r' &&
+                view.find_first_not_of("0123456789", shard_end + 1) == dot &&
+                util::ParseIntFlag(view.substr(shard_end + 1, dot - shard_end - 1),
+                                   0, INT_MAX, &replica);
   }
   auto snapshot = maps();
   // The job lives on whichever replica admitted it, under whichever map
@@ -570,8 +568,8 @@ HttpResponse ShardRouter::HandleJob(const HttpRequest& request) {
     in_some_map = in_some_map || shard < map->num_shards();
   }
   if (!prefix_ok || shard < 0 || !in_some_map) {
-    return ErrorResponse(404, "unknown job id: " + id +
-                                  " (no such shard in the map)");
+    return JsonErrorResponse(404, "unknown job id: " + id +
+                                      " (no such shard in the map)");
   }
   const std::string remote_id = id.substr(dot + 1);
 
@@ -589,7 +587,7 @@ HttpResponse ShardRouter::HandleJob(const HttpRequest& request) {
     }
   }
 
-  HttpResponse last = ErrorResponse(404, "unknown job id: " + id);
+  HttpResponse last = JsonErrorResponse(404, "unknown job id: " + id);
   for (const auto& [endpoint, digest_hex] : candidates) {
     bool transport_failed = false;
     HttpResponse response = ForwardToEndpoint(
@@ -743,7 +741,7 @@ HttpResponse ShardRouter::HandleSnapshot() {
 HttpResponse ShardRouter::HandleTransition(const HttpRequest& request) {
   if (request.QueryOr("complete", "0") == "1") {
     auto status = CompleteTransition();
-    if (!status.ok()) return ErrorResponse(412, status.message());
+    if (!status.ok()) return JsonErrorResponse(412, status.message());
     JsonWriter json;
     json.Object()
         .Field("transitioning", false)
@@ -753,7 +751,7 @@ HttpResponse ShardRouter::HandleTransition(const HttpRequest& request) {
   }
   if (request.QueryOr("abort", "0") == "1") {
     auto status = AbortTransition();
-    if (!status.ok()) return ErrorResponse(412, status.message());
+    if (!status.ok()) return JsonErrorResponse(412, status.message());
     JsonWriter json;
     json.Object()
         .Field("transitioning", false)
@@ -762,8 +760,8 @@ HttpResponse ShardRouter::HandleTransition(const HttpRequest& request) {
     return JsonResponse(json);
   }
   if (request.body.empty()) {
-    return ErrorResponse(400, "empty body: expected the new shard map spec "
-                              "(host:port,host:port*2,...)");
+    return JsonErrorResponse(400, "empty body: expected the new shard map spec "
+                                  "(host:port,host:port*2,...)");
   }
   std::string spec = request.body;
   while (!spec.empty() && (spec.back() == '\n' || spec.back() == '\r')) {
@@ -771,12 +769,12 @@ HttpResponse ShardRouter::HandleTransition(const HttpRequest& request) {
   }
   auto new_map = service::ShardMap::Parse(spec);
   if (!new_map.ok()) {
-    return ErrorResponse(400, "cannot parse new shard map: " +
-                                  new_map.status().message());
+    return JsonErrorResponse(400, "cannot parse new shard map: " +
+                                      new_map.status().message());
   }
   auto status = BeginTransition(*new_map);
   if (!status.ok()) {
-    return ErrorResponse(
+    return JsonErrorResponse(
         status.code() == util::StatusCode::kFailedPrecondition ? 409 : 400,
         status.message());
   }

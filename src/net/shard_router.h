@@ -100,9 +100,8 @@ struct ShardRouterOptions {
   /// legitimately takes that long to answer); ?timeout=0 waits indefinitely.
   double read_timeout_seconds = 120.0;
   /// First backoff after a transport failure; doubles per consecutive
-  /// failure up to backoff_max_seconds.
+  /// failure up to 30 s.
   double backoff_base_seconds = 0.5;
-  double backoff_max_seconds = 30.0;
   /// Retry-After value on router-generated 503s (shard down / backing off).
   int retry_after_seconds = 1;
 };

@@ -162,6 +162,52 @@ bool Fingerprint::FromHex(std::string_view text, Fingerprint* out) {
   return true;
 }
 
+namespace {
+
+std::vector<int> Inverse(const std::vector<int>& map) {
+  std::vector<int> inverse(map.size());
+  for (size_t i = 0; i < map.size(); ++i) inverse[map[i]] = static_cast<int>(i);
+  return inverse;
+}
+
+/// `hd` with vertex v renamed vertex_map[v] and edge e renamed edge_map[e];
+/// nullopt when a χ universe is not vertex_map.size() or an edge id falls
+/// outside edge_map.
+std::optional<Decomposition> Relabel(const Decomposition& hd,
+                                     const std::vector<int>& vertex_map,
+                                     const std::vector<int>& edge_map) {
+  const int n = static_cast<int>(vertex_map.size());
+  const int m = static_cast<int>(edge_map.size());
+  Decomposition out;
+  for (int u = 0; u < hd.num_nodes(); ++u) {
+    const DecompNode& node = hd.node(u);
+    if (node.chi.size_bits() != n) return std::nullopt;
+    std::vector<int> lambda;
+    for (int e : node.lambda) {
+      if (e < 0 || e >= m) return std::nullopt;
+      lambda.push_back(edge_map[e]);
+    }
+    util::DynamicBitset chi(n);
+    node.chi.ForEach([&](int v) { chi.Set(vertex_map[v]); });
+    out.AddNode(std::move(lambda), std::move(chi), node.parent);
+  }
+  return out;
+}
+
+}  // namespace
+
+Decomposition CanonicalLabelling::ToCanonical(const Decomposition& hd) const {
+  std::optional<Decomposition> canonical =
+      Relabel(hd, vertex_ids, Inverse(edge_order));
+  HTD_CHECK(canonical.has_value()) << "not an HD of this instance";
+  return *std::move(canonical);
+}
+
+std::optional<Decomposition> CanonicalLabelling::FromCanonical(
+    const Decomposition& hd) const {
+  return Relabel(hd, Inverse(vertex_ids), edge_order);
+}
+
 CanonicalForm ComputeCanonicalForm(const Hypergraph& graph) {
   const int n = graph.num_vertices();
   const int m = graph.num_edges();
@@ -181,7 +227,10 @@ CanonicalForm ComputeCanonicalForm(const Hypergraph& graph) {
   CanonicalForm form;
   form.num_vertices = n;
   form.num_edges = m;
-  form.edges.reserve(m);
+  // Canonical edge order: canonical content ascending, ties (content-
+  // identical edges) broken by input index.
+  std::vector<std::pair<std::vector<int>, int>> records;
+  records.reserve(m);
   for (int e = 0; e < m; ++e) {
     std::vector<int> edge;
     edge.reserve(graph.edge_vertex_list(e).size());
@@ -189,9 +238,16 @@ CanonicalForm ComputeCanonicalForm(const Hypergraph& graph) {
       edge.push_back(ids[v]);
     }
     std::sort(edge.begin(), edge.end());
-    form.edges.push_back(std::move(edge));
+    records.emplace_back(std::move(edge), e);
   }
-  std::sort(form.edges.begin(), form.edges.end());
+  std::sort(records.begin(), records.end());
+  form.edges.reserve(m);
+  form.labelling.edge_order.reserve(m);
+  for (auto& [edge, input] : records) {
+    form.edges.push_back(std::move(edge));
+    form.labelling.edge_order.push_back(input);
+  }
+  form.labelling.vertex_ids = std::move(ids);
 
   // Two independently seeded mixes over (n, m, canonical edges) = 128 bits.
   uint64_t h1 = 0x6c6f676b64656331ULL;  // "logkdec1"

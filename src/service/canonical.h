@@ -28,10 +28,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "decomp/decomposition.h"
 #include "decomp/extended_subhypergraph.h"
 #include "decomp/special_edges.h"
 #include "hypergraph/hypergraph.h"
@@ -79,6 +81,26 @@ struct FingerprintHash {
   }
 };
 
+/// How one instance's own ids map onto its canonical form. Two instances
+/// with equal forms are isomorphic through these maps, so an HD of one,
+/// written in canonical ids, reads back as an HD of the other.
+struct CanonicalLabelling {
+  /// input vertex id → canonical vertex id.
+  std::vector<int> vertex_ids;
+  /// canonical edge position → input edge id: CanonicalForm::edges[i] is
+  /// the input's edge edge_order[i]. Content-identical edges keep their
+  /// input order, so an instance maps onto itself as the identity.
+  std::vector<int> edge_order;
+
+  /// `hd`, an HD of the input, rewritten into canonical ids.
+  Decomposition ToCanonical(const Decomposition& hd) const;
+  /// `hd`, written in canonical ids, rewritten into the input's ids (λ
+  /// re-sorted). nullopt when `hd` does not fit this input — its χ universe
+  /// is not the vertex count, or a λ id is not an edge — which a cache
+  /// treats as a miss rather than serve.
+  std::optional<Decomposition> FromCanonical(const Decomposition& hd) const;
+};
+
 struct CanonicalForm {
   int num_vertices = 0;
   int num_edges = 0;
@@ -86,6 +108,7 @@ struct CanonicalForm {
   /// ascending, edges sorted lexicographically. Duplicate edges are kept.
   std::vector<std::vector<int>> edges;
   Fingerprint fingerprint;
+  CanonicalLabelling labelling;
 };
 
 /// Computes the canonical form (refinement + individualisation) of `graph`.

@@ -37,8 +37,10 @@
 
 namespace htd::service {
 
-/// Bumped on any incompatible change to the payload encoding.
-inline constexpr uint32_t kSnapshotVersion = 1;
+/// Bumped on any incompatible change to the payload encoding or its meaning.
+/// v2: cached HDs are stored in canonical ids (service/canonical.h), not in
+/// the ids of whichever instance was solved; v1 snapshots are refused.
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 struct SnapshotStats {
   size_t cache_entries = 0;  ///< result-cache entries written / restored

@@ -21,25 +21,26 @@ ResultCache::Shard& ResultCache::ShardFor(const CacheKey& key) {
   return *shards_[CacheKeyHash{}(key) % shards_.size()];
 }
 
-std::optional<SolveResult> ResultCache::Lookup(const CacheKey& key) {
+std::shared_ptr<const SolveResult> ResultCache::Lookup(const CacheKey& key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second->result;
 }
 
-void ResultCache::Insert(const CacheKey& key, const SolveResult& result) {
+void ResultCache::Insert(const CacheKey& key, SolveResult result) {
+  auto shared = std::make_shared<const SolveResult>(std::move(result));
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->result = result;
+    it->second->result = std::move(shared);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
@@ -50,7 +51,7 @@ void ResultCache::Insert(const CacheKey& key, const SolveResult& result) {
     evictions_.fetch_add(1, std::memory_order_relaxed);
     entries_.fetch_sub(1, std::memory_order_relaxed);
   }
-  shard.lru.push_front(Entry{key, result});
+  shard.lru.push_front(Entry{key, std::move(shared)});
   shard.index.emplace(key, shard.lru.begin());
   insertions_.fetch_add(1, std::memory_order_relaxed);
   entries_.fetch_add(1, std::memory_order_relaxed);
@@ -63,7 +64,7 @@ void ResultCache::ForEach(
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (const Entry& entry : shard->lru) {
       if (range != nullptr && !range->Contains(entry.key.fingerprint)) continue;
-      fn(entry.key, entry.result);
+      fn(entry.key, *entry.result);
     }
   }
 }

@@ -67,12 +67,13 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Returns a copy of the cached result and refreshes its LRU position.
-  std::optional<SolveResult> Lookup(const CacheKey& key);
+  /// Returns the cached result (null on a miss) and refreshes its LRU
+  /// position. The entry is shared, not copied: a hit costs no HD copy.
+  std::shared_ptr<const SolveResult> Lookup(const CacheKey& key);
 
   /// Inserts (or refreshes) an entry, evicting the shard's least recently
   /// used entry when the shard is full.
-  void Insert(const CacheKey& key, const SolveResult& result);
+  void Insert(const CacheKey& key, SolveResult result);
 
   /// Drops every entry (stats are kept).
   void Clear();
@@ -93,7 +94,7 @@ class ResultCache {
  private:
   struct Entry {
     CacheKey key;
-    SolveResult result;
+    std::shared_ptr<const SolveResult> result;
   };
   struct Shard {
     std::mutex mutex;

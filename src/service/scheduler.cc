@@ -8,6 +8,33 @@
 
 namespace htd::service {
 
+namespace {
+
+/// `result`'s outcome and stats with `hd` as its HD; the old HD is not copied.
+SolveResult WithDecomposition(const SolveResult& result,
+                              std::optional<Decomposition> hd) {
+  SolveResult out;
+  out.outcome = result.outcome;
+  out.stats = result.stats;
+  out.decomposition = std::move(hd);
+  return out;
+}
+
+/// `canonical`, whose HD is in canonical ids, rewritten into the ids of the
+/// graph `labelling` belongs to; nullopt when the HD does not fit that graph.
+std::optional<SolveResult> InCallersIds(const SolveResult& canonical,
+                                        const CanonicalLabelling& labelling) {
+  if (!canonical.decomposition.has_value()) {
+    return WithDecomposition(canonical, std::nullopt);
+  }
+  std::optional<Decomposition> mine =
+      labelling.FromCanonical(*canonical.decomposition);
+  if (!mine.has_value()) return std::nullopt;
+  return WithDecomposition(canonical, std::move(mine));
+}
+
+}  // namespace
+
 BatchScheduler::BatchScheduler(util::Executor& executor, SolverFactoryFn factory,
                                const SolveOptions& solve_options,
                                ResultCache* cache, uint64_t config_digest,
@@ -71,11 +98,12 @@ std::future<JobResult> BatchScheduler::Admit(
   // Stage timing uses WallTimer, not the trace scope, so the histograms
   // stay populated when tracing is disabled or the job is untraced.
   util::WallTimer fp_timer;
-  Fingerprint fp;
+  CanonicalForm form;
   {
     util::TraceScope span("fingerprint", spec.trace);
-    fp = CanonicalFingerprint(*spec.graph);
+    form = ComputeCanonicalForm(*spec.graph);
   }
+  const Fingerprint fp = form.fingerprint;
   const double fingerprint_seconds = fp_timer.ElapsedSeconds();
   if (stage_fingerprint_ != nullptr) {
     stage_fingerprint_->Observe(fingerprint_seconds);
@@ -86,23 +114,27 @@ std::future<JobResult> BatchScheduler::Admit(
   std::future<JobResult> future = promise.get_future();
 
   // Cache probe outside the scheduler lock: the cache has its own shard
-  // striping, and a hit copies a whole SolveResult — serialising that behind
+  // striping, and a hit rewrites a whole HD — serialising that behind
   // mutex_ would make every admission pay for it.
   double cache_seconds = 0.0;
   if (cache_ != nullptr) {
     util::WallTimer cache_timer;
-    std::optional<SolveResult> hit;
+    std::shared_ptr<const SolveResult> hit;
     {
       util::TraceScope span("cache", spec.trace);
       hit = cache_->Lookup(key);
     }
     cache_seconds = cache_timer.ElapsedSeconds();
     if (stage_cache_ != nullptr) stage_cache_->Observe(cache_seconds);
-    if (hit) {
+    // The cached HD is in canonical ids; one that does not fit this graph
+    // is a miss, never served.
+    std::optional<SolveResult> mine;
+    if (hit != nullptr) mine = InCallersIds(*hit, form.labelling);
+    if (mine.has_value()) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       completed_.fetch_add(1, std::memory_order_relaxed);
       JobResult job_result;
-      job_result.result = std::move(*hit);
+      job_result.result = *std::move(mine);
       job_result.fingerprint = fp;
       job_result.cache_hit = true;
       job_result.stages.fingerprint_seconds = fingerprint_seconds;
@@ -135,13 +167,14 @@ std::future<JobResult> BatchScheduler::Admit(
     auto it = inflight_.find(key);
     if (it != inflight_.end()) {
       dedup_joins_.fetch_add(1, std::memory_order_relaxed);
-      it->second->waiters.push_back(Waiter{std::move(promise), true,
-                                           fingerprint_seconds,
-                                           cache_seconds});
+      it->second->waiters.push_back(
+          Waiter{std::move(promise), true, std::move(form.labelling),
+                 fingerprint_seconds, cache_seconds});
       return future;
     }
-    flight->waiters.push_back(
-        Waiter{std::move(promise), false, fingerprint_seconds, cache_seconds});
+    flight->labelling = std::move(form.labelling);
+    flight->waiters.push_back(Waiter{std::move(promise), false, {},
+                                     fingerprint_seconds, cache_seconds});
     inflight_.emplace(key, flight);
     ++pending_flights_;
   }
@@ -202,11 +235,24 @@ void BatchScheduler::RunFlight(const std::shared_ptr<Flight>& flight) {
   const double solve_seconds = solve_timer.ElapsedSeconds();
   if (stage_solve_ != nullptr) stage_solve_->Observe(solve_seconds);
 
+  // The cache and the dedup waiters get the HD in canonical ids, built only
+  // if one of them needs it.
+  std::optional<SolveResult> canonical;
+  auto in_canonical_ids = [&]() -> const SolveResult& {
+    if (!canonical.has_value()) {
+      canonical = WithDecomposition(result, std::nullopt);
+      if (result.decomposition.has_value()) {
+        canonical->decomposition =
+            flight->labelling.ToCanonical(*result.decomposition);
+      }
+    }
+    return *canonical;
+  };
   // Only definitive answers are worth memoizing; kCancelled/kError depend on
   // the deadline (or fault) that produced them, not on the instance.
   if (cache_ != nullptr &&
       (result.outcome == Outcome::kYes || result.outcome == Outcome::kNo)) {
-    cache_->Insert(flight->key, result);
+    cache_->Insert(flight->key, in_canonical_ids());
   }
 
   std::vector<Waiter> waiters;
@@ -219,7 +265,16 @@ void BatchScheduler::RunFlight(const std::shared_ptr<Flight>& flight) {
   const double seconds = flight->timer.ElapsedSeconds();
   for (Waiter& waiter : waiters) {
     JobResult job_result;
-    job_result.result = result;
+    if (!waiter.deduplicated) {
+      job_result.result = result;
+    } else if (std::optional<SolveResult> mine =
+                   InCallersIds(in_canonical_ids(), waiter.labelling)) {
+      job_result.result = *std::move(mine);
+    } else {
+      // Only a fingerprint collision makes the leader's HD not fit.
+      job_result.result = WithDecomposition(result, std::nullopt);
+      job_result.result.outcome = Outcome::kError;
+    }
     job_result.fingerprint = flight->key.fingerprint;
     job_result.deduplicated = waiter.deduplicated;
     job_result.seconds = seconds;

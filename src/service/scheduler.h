@@ -9,6 +9,11 @@
 // waiter. Completed results are inserted into the ResultCache (when one is
 // attached) so later submissions hit without solving at all.
 //
+// Ids: the cache stores every HD in canonical ids (service/canonical.h), and
+// each cache hit and each dedup waiter gets it rewritten into the ids of the
+// graph it submitted, so every answer is an HD of the instance as sent. The
+// leader keeps its own result untouched.
+//
 // There is no admission-time thread sizing any more (the old
 // PickAutoThreads): each flight lends the solver a util::TaskGroup tied to
 // its CancelToken, the solver offers candidate-chunk tasks into it, and
@@ -149,6 +154,8 @@ class BatchScheduler {
   struct Waiter {
     std::promise<JobResult> promise;
     bool deduplicated = false;
+    /// Maps the canonical HD into this waiter's own ids.
+    CanonicalLabelling labelling;
     /// This waiter's own admission-time stage costs (joiners keep theirs
     /// even though they share the leader's schedule/solve time).
     double fingerprint_seconds = 0.0;
@@ -157,6 +164,8 @@ class BatchScheduler {
   struct Flight {
     std::shared_ptr<const Hypergraph> graph;
     CacheKey key;
+    /// The leader's ids onto canonical ones: its HD is cached through this.
+    CanonicalLabelling labelling;
     util::CancelToken token;
     util::WallTimer timer;
     std::vector<Waiter> waiters;  // guarded by scheduler mutex

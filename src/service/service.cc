@@ -14,8 +14,10 @@ DecompositionService::DecompositionService(ServiceOptions options)
   auto factory = MakeSolverFactory(options_.solver_name);
   HTD_CHECK(factory.ok()) << factory.status().message();
   if (options_.enable_result_cache) {
+    // Lock stripes of the result cache (service/result_cache.h).
+    constexpr int kCacheShards = 16;
     cache_ = std::make_unique<ResultCache>(std::max<size_t>(1, options_.cache_capacity),
-                                           options_.cache_shards);
+                                           kCacheShards);
   }
   if (options_.enable_subproblem_store) {
     subproblem_store_ = std::make_unique<SubproblemStore>(options_.subproblem_store);

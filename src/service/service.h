@@ -56,7 +56,6 @@ struct ServiceOptions {
   /// Whole-instance result memoization.
   bool enable_result_cache = true;
   size_t cache_capacity = 4096;
-  int cache_shards = 16;
 
   /// Cross-instance subproblem memoization: one SubproblemStore shared by
   /// every worker and every solve, so overlapping instances reuse each

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -159,6 +160,35 @@ TEST(CanonicalTest, CanonicalFormShape) {
       EXPECT_LT(v, 5);
     }
   }
+}
+
+// The labelling round-trips an HD through canonical ids unchanged, and an
+// HD that does not fit the instance (another vertex or edge count) is
+// refused, not relabelled.
+TEST(CanonicalTest, LabellingRoundTripsAndRefusesMisfits) {
+  const Hypergraph graph = FromEdges(
+      {{"a", "b"}, {"b", "c"}, {"c", "a"}, {"c", "d"}, {"a", "b"}});
+  const CanonicalLabelling& labelling = ComputeCanonicalForm(graph).labelling;
+  Decomposition hd;
+  const int root = hd.AddNode({0, 2}, graph.AllVertices(), -1);
+  util::DynamicBitset leaf(graph.num_vertices());
+  leaf.Set(2);
+  leaf.Set(3);
+  hd.AddNode({4, 3}, leaf, root);
+
+  std::optional<Decomposition> back =
+      labelling.FromCanonical(labelling.ToCanonical(hd));
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->num_nodes(), hd.num_nodes());
+  for (int u = 0; u < hd.num_nodes(); ++u) {
+    EXPECT_EQ(back->node(u).lambda, hd.node(u).lambda);
+    EXPECT_TRUE(back->node(u).chi == hd.node(u).chi);
+    EXPECT_EQ(back->node(u).parent, hd.node(u).parent);
+  }
+
+  const CanonicalLabelling& smaller =
+      ComputeCanonicalForm(FromEdges({{"a", "b"}, {"b", "c"}})).labelling;
+  EXPECT_FALSE(smaller.FromCanonical(labelling.ToCanonical(hd)).has_value());
 }
 
 TEST(CanonicalTest, HexRendering) {

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include "core/log_k_decomp.h"
 #include "core/search_steps.h"
@@ -137,6 +139,78 @@ TEST(DriveCandidatesTest, ParallelFindsResult) {
         return SearchOutcome::NotFound();
       });
   EXPECT_EQ(outcome.status, SearchStatus::kFound);
+}
+
+// Paper §D.1: the first slot to find a fragment wins and the rest drain
+// out. A losing slot deep inside a nested search must see the decision too,
+// or the winner waits for it to finish (here: until the 10 s cap).
+TEST(DriveCandidatesTest, LosingSlotStopsOnceTheLevelIsDecided) {
+  using Clock = std::chrono::steady_clock;
+  StatsCounters stats;
+  Fragment marker;
+  marker.SetRoot(marker.AddNode({0}, util::DynamicBitset(2)));
+  util::Executor executor(2);
+  util::TaskGroup group(executor);
+  const Clock::time_point start = Clock::now();
+  auto capped = [&] { return Clock::now() - start > std::chrono::seconds(10); };
+  SearchOutcome outcome = DriveCandidates(
+      2, 1, 2, /*extra_workers=*/1, &group, 1, stats,
+      [&](const std::vector<int>& subset) {
+        if (subset[0] == 1) {
+          Fragment copy = marker;
+          return SearchOutcome::Found(std::move(copy));
+        }
+        // A nested search that ends only when told to stop.
+        return DriveCandidates(1, 1, 1, 0, nullptr, 1, stats,
+                               [&](const std::vector<int>&) {
+                                 while (!SearchLevelDecided() && !capped()) {
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(1));
+                                 }
+                                 return SearchOutcome::Stopped();
+                               });
+      });
+  EXPECT_EQ(outcome.status, SearchStatus::kFound);
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(5));
+  EXPECT_FALSE(SearchLevelDecided()) << "the decision leaked out of its slots";
+}
+
+// A parallel level nested in a losing slot whose own slots leave because the
+// enclosing level was decided has not tried every candidate: it must report
+// kStopped, or LogKEngine would memoise an unrefuted subproblem as failed.
+TEST(DriveCandidatesTest, NestedParallelLevelCutShortReportsStopped) {
+  using Clock = std::chrono::steady_clock;
+  StatsCounters stats;
+  Fragment marker;
+  marker.SetRoot(marker.AddNode({0}, util::DynamicBitset(2)));
+  util::Executor executor(2);
+  util::TaskGroup group(executor);
+  const Clock::time_point start = Clock::now();
+  auto capped = [&] { return Clock::now() - start > std::chrono::seconds(10); };
+  std::atomic<int> nested_status{-1};
+  SearchOutcome outcome = DriveCandidates(
+      2, 1, 2, /*extra_workers=*/1, &group, 1, stats,
+      [&](const std::vector<int>& subset) {
+        if (subset[0] == 1) {
+          Fragment copy = marker;
+          return SearchOutcome::Found(std::move(copy));
+        }
+        // Each nested candidate fails once the outer level is decided; the
+        // nested slots then leave with candidates still untried.
+        SearchOutcome nested = DriveCandidates(
+            50, 1, 50, /*extra_workers=*/1, &group, 1, stats,
+            [&](const std::vector<int>&) {
+              while (!SearchLevelDecided() && !capped()) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+              }
+              return SearchOutcome::NotFound();
+            });
+        nested_status.store(static_cast<int>(nested.status));
+        return nested;
+      });
+  EXPECT_EQ(outcome.status, SearchStatus::kFound);
+  EXPECT_EQ(nested_status.load(), static_cast<int>(SearchStatus::kStopped));
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(5));
 }
 
 TEST(DriveCandidatesTest, StoppedPropagates) {

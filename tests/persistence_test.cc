@@ -130,8 +130,8 @@ TEST(PersistenceTest, FuzzCacheRoundTripPreservesLookups) {
     for (const CacheKey& key : keys) {
       auto a = original.Lookup(key);
       auto b = restored.Lookup(key);
-      ASSERT_EQ(a.has_value(), b.has_value());
-      if (a.has_value()) {
+      ASSERT_EQ(a != nullptr, b != nullptr);
+      if (a != nullptr) {
         EXPECT_EQ(a->outcome, b->outcome);
         EXPECT_EQ(a->stats.separators_tried, b->stats.separators_tried);
         EXPECT_TRUE(SameDecomposition(a->decomposition, b->decomposition));
@@ -426,7 +426,7 @@ TEST(PersistenceTest, SaveAndLoadFile) {
   ResultCache restored(16, 2);
   auto loaded = LoadSnapshot(path, &restored, nullptr);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  EXPECT_TRUE(restored.Lookup(key).has_value());
+  EXPECT_NE(restored.Lookup(key), nullptr);
   std::filesystem::remove(path);
 }
 

@@ -352,6 +352,38 @@ TEST(QueryEngineTest, ExpiredDeadlineIsDeadlineOutcome) {
   EXPECT_EQ(answer->outcome, QueryOutcome::kDeadline);
 }
 
+// A warm answer to the same cyclic query with its atoms listed in another
+// order: every probe hits the cache, and the cached HDs (solved for the
+// first order) come back in the reordered query's ids, so the count is
+// exact.
+TEST(QueryEngineTest, ReorderedAtomsAnswerWarmAndExact) {
+  const std::string atoms[] = {"R(A,B)", "S(B,C)", "T(C,D)",
+                               "U(D,E)", "W(E,A)", "X(A,C)"};
+  auto join = [&](std::initializer_list<int> order) {
+    std::string text;
+    for (int i : order) text += (text.empty() ? "" : ", ") + atoms[i];
+    return text + ".";
+  };
+  auto first = cq::ParseQuery(join({0, 1, 2, 3, 4, 5}));
+  auto reordered = cq::ParseQuery(join({4, 2, 5, 0, 3, 1}));
+  ASSERT_TRUE(first.ok() && reordered.ok());
+  util::Rng rng(40);
+  cq::Database db = cq::RandomDatabase(rng, *first, /*domain_size=*/4,
+                                       /*tuples_per_relation=*/10,
+                                       /*satisfiable_bias=*/0.8);
+  service::DecompositionService service(SmallService());
+  QueryEngine engine(&service);
+  ASSERT_TRUE(engine.Answer(*first, db, 0).ok());
+
+  auto warm = engine.Answer(*reordered, db, 0);
+  ASSERT_TRUE(warm.ok()) << warm.status().message();
+  EXPECT_TRUE(warm->decompose_cache_hit);
+  auto oracle_count = cq::CountSolutionsBruteForce(*reordered, db);
+  ASSERT_TRUE(oracle_count.ok());
+  ASSERT_TRUE(warm->counted);
+  EXPECT_EQ(warm->count.value, *oracle_count);
+}
+
 // End-to-end property sweep: random queries and databases through the full
 // engine (service, portfolio, executor) agree with the brute-force oracles.
 class QueryEnginePropertyTest : public ::testing::TestWithParam<int> {};

@@ -27,10 +27,10 @@ SolveResult YesResult(long marker) {
 
 TEST(ResultCacheTest, InsertThenLookup) {
   ResultCache cache(/*capacity=*/8, /*num_shards=*/2);
-  EXPECT_FALSE(cache.Lookup(KeyOf(1)).has_value());
+  EXPECT_EQ(cache.Lookup(KeyOf(1)), nullptr);
   cache.Insert(KeyOf(1), YesResult(42));
   auto hit = cache.Lookup(KeyOf(1));
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->outcome, Outcome::kYes);
   EXPECT_EQ(hit->stats.separators_tried, 42);
 
@@ -44,11 +44,11 @@ TEST(ResultCacheTest, InsertThenLookup) {
 TEST(ResultCacheTest, DistinguishesKAndConfig) {
   ResultCache cache(8, 1);
   cache.Insert(KeyOf(1, 2), YesResult(2));
-  EXPECT_FALSE(cache.Lookup(KeyOf(1, 3)).has_value());
+  EXPECT_EQ(cache.Lookup(KeyOf(1, 3)), nullptr);
   CacheKey other_config = KeyOf(1, 2);
   other_config.config_digest = 8;
-  EXPECT_FALSE(cache.Lookup(other_config).has_value());
-  EXPECT_TRUE(cache.Lookup(KeyOf(1, 2)).has_value());
+  EXPECT_EQ(cache.Lookup(other_config), nullptr);
+  EXPECT_NE(cache.Lookup(KeyOf(1, 2)), nullptr);
 }
 
 TEST(ResultCacheTest, EvictsLeastRecentlyUsed) {
@@ -56,12 +56,12 @@ TEST(ResultCacheTest, EvictsLeastRecentlyUsed) {
   cache.Insert(KeyOf(1), YesResult(1));
   cache.Insert(KeyOf(2), YesResult(2));
   // Touch key 1 so key 2 is the LRU victim.
-  EXPECT_TRUE(cache.Lookup(KeyOf(1)).has_value());
+  EXPECT_NE(cache.Lookup(KeyOf(1)), nullptr);
   cache.Insert(KeyOf(3), YesResult(3));
 
-  EXPECT_TRUE(cache.Lookup(KeyOf(1)).has_value());
-  EXPECT_FALSE(cache.Lookup(KeyOf(2)).has_value());
-  EXPECT_TRUE(cache.Lookup(KeyOf(3)).has_value());
+  EXPECT_NE(cache.Lookup(KeyOf(1)), nullptr);
+  EXPECT_EQ(cache.Lookup(KeyOf(2)), nullptr);
+  EXPECT_NE(cache.Lookup(KeyOf(3)), nullptr);
   ResultCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
@@ -73,7 +73,7 @@ TEST(ResultCacheTest, ReinsertRefreshesInsteadOfDuplicating) {
   cache.Insert(KeyOf(1), YesResult(99));
   EXPECT_EQ(cache.num_entries(), 1u);
   auto hit = cache.Lookup(KeyOf(1));
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->stats.separators_tried, 99);
 }
 
@@ -84,14 +84,14 @@ TEST(ResultCacheTest, ClearDropsEntriesKeepsStats) {
   EXPECT_EQ(cache.num_entries(), 5u);
   cache.Clear();
   EXPECT_EQ(cache.num_entries(), 0u);
-  EXPECT_FALSE(cache.Lookup(KeyOf(0)).has_value());
+  EXPECT_EQ(cache.Lookup(KeyOf(0)), nullptr);
   EXPECT_EQ(cache.GetStats().insertions, 5u);
 }
 
 TEST(ResultCacheTest, CapacitySmallerThanShards) {
   ResultCache cache(/*capacity=*/2, /*num_shards=*/16);
   cache.Insert(KeyOf(1), YesResult(1));
-  EXPECT_TRUE(cache.Lookup(KeyOf(1)).has_value());
+  EXPECT_NE(cache.Lookup(KeyOf(1)), nullptr);
 }
 
 TEST(ResultCacheTest, ConcurrentMixedTraffic) {
@@ -108,7 +108,7 @@ TEST(ResultCacheTest, ConcurrentMixedTraffic) {
           cache.Insert(KeyOf(id), YesResult(static_cast<long>(id)));
         } else {
           auto hit = cache.Lookup(KeyOf(id));
-          if (hit.has_value()) {
+          if (hit != nullptr) {
             EXPECT_EQ(hit->stats.separators_tried, static_cast<long>(id));
           }
         }

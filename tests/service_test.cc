@@ -4,10 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "decomp/validation.h"
 #include "hypergraph/generators.h"
+#include "util/executor.h"
 #include "util/rng.h"
 
 namespace htd::service {
@@ -63,6 +70,69 @@ TEST(ServiceTest, RenamedInstanceHitsTheSameCacheEntry) {
   EXPECT_FALSE(first.cache_hit);
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.result.outcome, Outcome::kYes);
+}
+
+/// `graph` with its vertices renamed and re-numbered and its edges listed
+/// in another order: isomorphic, but no id means what it meant before.
+Hypergraph ScrambledCopy(const Hypergraph& graph, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<int> vertex_order(graph.num_vertices());
+  std::iota(vertex_order.begin(), vertex_order.end(), 0);
+  rng.Shuffle(vertex_order);
+  Hypergraph copy;
+  std::vector<int> id_of(graph.num_vertices());
+  for (int v : vertex_order) {
+    id_of[v] = copy.GetOrAddVertex("w" + std::to_string(v));
+  }
+  std::vector<int> edge_order(graph.num_edges());
+  std::iota(edge_order.begin(), edge_order.end(), 0);
+  rng.Shuffle(edge_order);
+  for (int e : edge_order) {
+    std::vector<int> members;
+    for (int v : graph.edge_vertex_list(e)) members.push_back(id_of[v]);
+    HTD_CHECK(copy.AddEdge("f" + std::to_string(e), members).ok());
+  }
+  return copy;
+}
+
+// A cache hit and a dedup join both answer with an HD of the graph as
+// sent, not of whichever copy was solved.
+TEST(ServiceTest, CachedAndDeduplicatedHdsAreInTheCallersIds) {
+  util::Executor executor(1);
+  ServiceOptions options;
+  options.executor = &executor;
+  DecompositionService service(options);
+  const Hypergraph original = MakeGrid(3, 4);
+  const Hypergraph joiner = ScrambledCopy(original, 7);
+  const Hypergraph late = ScrambledCopy(original, 11);
+
+  // Park the only worker so the second copy joins the first one's flight.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<bool> parked{false};
+  executor.Submit([opened, &parked] {
+    parked = true;
+    opened.wait();
+  });
+  while (!parked) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::future<JobResult> leader = service.Submit(original, 3, 0.0);
+  std::future<JobResult> joined = service.Submit(joiner, 3, 0.0);
+  gate.set_value();
+
+  JobResult first = leader.get();
+  JobResult second = joined.get();
+  JobResult third = service.Solve(late, 3);
+  ASSERT_EQ(first.result.outcome, Outcome::kYes);
+  EXPECT_TRUE(second.deduplicated);
+  EXPECT_TRUE(third.cache_hit);
+  for (const auto& [graph, job] :
+       {std::pair{&original, &first}, std::pair{&joiner, &second},
+        std::pair{&late, &third}}) {
+    ASSERT_TRUE(job->result.decomposition.has_value());
+    Validation valid =
+        ValidateHdWithWidth(*graph, *job->result.decomposition, 3);
+    EXPECT_TRUE(valid.ok) << valid.error;
+  }
 }
 
 TEST(ServiceTest, BatchSubmissionCompletesEveryJob) {

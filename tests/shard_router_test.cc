@@ -183,6 +183,15 @@ TEST(ShardRouterTest, AsyncJobIdsCarryTheirShard) {
       << "unprefixed ids are not routable";
   EXPECT_EQ(fleet.router->Handle(Request("GET", "/v1/jobs/s9.j7")).status, 404)
       << "shard index outside the map";
+  // Malformed prefixes around the live job's own id are unknown ids, not
+  // shard 1 replica 0.
+  const std::string remote = id.substr(id.find('.'));
+  for (const std::string prefix : {"s1r", "s+1r0", "s1r+0"}) {
+    EXPECT_EQ(
+        fleet.router->Handle(Request("GET", "/v1/jobs/" + prefix + remote)).status,
+        404)
+        << prefix + remote << " is not a router job id";
+  }
 
   fleet.Stop();
 }

@@ -75,153 +75,72 @@ struct Args {
   std::optional<htd::service::ShardMap> shards;
 };
 
-void Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--host H] [--port N] [--shards H:P,H:P,...] COMMAND\n"
+/// The commands that address every shard of a --shards map.
+bool FansOut(const std::string& command) {
+  return command == "stats" || command == "snapshot" || command == "metrics" ||
+         command == "trace" || command == "sync";
+}
+
+/// Declares every flag of `args`; positionals are checked by ParseArgs.
+htd::util::FlagTable Flags(Args& args) {
+  htd::util::FlagTable flags(
+      "[--host H] [--port N] [--shards H:P,H:P,...] COMMAND",
       "commands:\n"
-      "  decompose FILE --k N [--timeout S] [--async] [--decomposition]\n"
-      "            [--expect-cache-hit]      FILE '-' reads stdin\n"
-      "  query FILE [--timeout S] [--async] [--count 0|1]\n"
-      "            [--expect-cache-hit]      FILE: HTDQUERY1 query+database\n"
-      "                                      (docs/QUERIES.md); '-' = stdin\n"
-      "  job ID                              poll an async job (j* or q*)\n"
-      "  stats                               GET /v1/stats\n"
-      "  metrics                             GET /v1/metrics (condensed;\n"
-      "                                      --verbose prints the raw page)\n"
-      "  trace [--last N]                    GET /v1/trace?n=N (default 16)\n"
-      "  snapshot                            POST /v1/admin/snapshot\n"
-      "  sync                                POST /v1/admin/antientropy\n"
-      "                                      (force one anti-entropy round)\n"
-      "options:\n"
-      "  --shards H:P,...      shared shard map: decompose routes to the\n"
-      "                        shard owning the instance's fingerprint;\n"
-      "                        stats/metrics/trace/snapshot fan out to\n"
-      "                        every shard\n"
-      "  --quiet               suppress the response body on success\n"
-      "  --verbose             print X-HTD-Request-Id and the Server-Timing\n"
-      "                        stage breakdown (decompose), or the full\n"
-      "                        Prometheus page (metrics)\n"
-      "  --connect-timeout S   transport timeout (default 120; sync decompose\n"
-      "                        reads wait at least the job timeout + 60)\n",
-      argv0);
+      "  decompose FILE   POST /v1/decompose (needs --k); FILE '-' reads stdin\n"
+      "  query FILE       POST /v1/query of an HTDQUERY1 query+database\n"
+      "                   (docs/QUERIES.md); FILE '-' reads stdin\n"
+      "  job ID           poll an async job (j* or q*)\n"
+      "  stats | metrics | trace | snapshot | sync\n"
+      "                   GET /v1/stats, /v1/metrics (condensed unless "
+      "--verbose),\n"
+      "                   /v1/trace?n=N; POST /v1/admin/snapshot, "
+      "/v1/admin/antientropy\n");
+  flags.Text("--host", "H", &args.host, "server address")
+      .Int("--port", &args.port, 1, 65535, "server port")
+      .Parsed("--shards", "H:P,...", &args.shards,
+              "shared shard map: decompose routes to the shard owning the "
+              "instance's fingerprint; stats/metrics/trace/snapshot fan out "
+              "to every shard")
+      .Int("--k", &args.k, 1, 1'000'000, "decompose: width parameter")
+      .Seconds("--timeout", &args.timeout,
+               "job deadline (default: the server's)")
+      .Int("--count", &args.count, 0, 1,
+           "query: 1 = count solutions, 0 = skip (default: the server's)")
+      .Seconds("--connect-timeout", &args.connect_timeout,
+               "transport timeout; sync decompose reads wait at least the "
+               "job timeout + 60")
+      .Switch("--async", &args.async, "admit as an async job, print its id")
+      .Switch("--decomposition", &args.decomposition,
+              "decompose: include the HD in the response")
+      .Switch("--expect-cache-hit", &args.expect_cache_hit,
+              "exit 5 unless the response reports a cache hit")
+      .Switch("--quiet", &args.quiet, "suppress the response body on success")
+      .Switch("--verbose", &args.verbose,
+              "print X-HTD-Request-Id and the Server-Timing stage breakdown "
+              "(decompose), or the full Prometheus page (metrics)")
+      .Int("--last", &args.trace_n, 1, 256,
+           "trace: how many recent root spans to fetch");
+  return flags;
 }
 
-/// Strict numeric flag parse; a false return lands in main's usage+exit-2
-/// path (bare atoi silently turned `--port x` into port 0).
-bool FlagInt(const char* flag, const char* text, long min_value, long max_value,
-             long* out) {
-  if (!htd::util::ParseIntFlag(text, min_value, max_value, out)) {
-    std::fprintf(stderr,
-                 "invalid value for %s: \"%s\" (expected an integer in "
-                 "[%ld, %ld])\n",
-                 flag, text, min_value, max_value);
+/// Fills `args` from argv, or says why not on stderr (usage + exit 2).
+bool ParseArgs(const htd::util::FlagTable& flags, int argc, char** argv,
+               Args& args) {
+  const std::vector<std::string> words = flags.ParseOrExit(argc, argv, 2);
+  if (!words.empty()) args.command = words[0];
+  const bool takes_operand = args.command == "decompose" ||
+                             args.command == "query" || args.command == "job";
+  if (words.size() == 2 && !takes_operand) {
+    std::fprintf(stderr, "unexpected argument: %s\n\n", words[1].c_str());
     return false;
   }
-  return true;
-}
-
-bool FlagSeconds(const char* flag, const char* text, double* out) {
-  if (!htd::util::ParseDoubleFlag(text, 0.0, out)) {
-    std::fprintf(stderr, "invalid value for %s: \"%s\" (expected seconds >= 0)\n",
-                 flag, text);
+  if (words.size() == 2) {
+    (args.command == "job" ? args.job_id : args.file) = words[1];
+  } else if (takes_operand) {
     return false;
   }
-  return true;
-}
-
-bool ParseArgs(int argc, char** argv, Args& args) {
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (flag == "--host") {
-      const char* v = next("--host");
-      if (v == nullptr) return false;
-      args.host = v;
-    } else if (flag == "--port") {
-      const char* v = next("--port");
-      long port;
-      if (v == nullptr || !FlagInt("--port", v, 1, 65535, &port)) return false;
-      args.port = static_cast<int>(port);
-    } else if (flag == "--shards") {
-      const char* v = next("--shards");
-      if (v == nullptr) return false;
-      auto map = htd::service::ShardMap::Parse(v);
-      if (!map.ok()) {
-        std::fprintf(stderr, "invalid value for --shards: %s\n",
-                     map.status().message().c_str());
-        return false;
-      }
-      args.shards = *map;
-    } else if (flag == "--k") {
-      const char* v = next("--k");
-      long k;
-      if (v == nullptr || !FlagInt("--k", v, 1, 1'000'000, &k)) return false;
-      args.k = static_cast<int>(k);
-    } else if (flag == "--timeout") {
-      const char* v = next("--timeout");
-      if (v == nullptr || !FlagSeconds("--timeout", v, &args.timeout)) {
-        return false;
-      }
-    } else if (flag == "--count") {
-      const char* v = next("--count");
-      long count;
-      if (v == nullptr || !FlagInt("--count", v, 0, 1, &count)) return false;
-      args.count = static_cast<int>(count);
-    } else if (flag == "--connect-timeout") {
-      const char* v = next("--connect-timeout");
-      if (v == nullptr ||
-          !FlagSeconds("--connect-timeout", v, &args.connect_timeout)) {
-        return false;
-      }
-    } else if (flag == "--async") {
-      args.async = true;
-    } else if (flag == "--decomposition") {
-      args.decomposition = true;
-    } else if (flag == "--expect-cache-hit") {
-      args.expect_cache_hit = true;
-    } else if (flag == "--quiet") {
-      args.quiet = true;
-    } else if (flag == "--verbose") {
-      args.verbose = true;
-    } else if (flag == "--last") {
-      const char* v = next("--last");
-      if (v == nullptr || !FlagInt("--last", v, 1, 256, &args.trace_n)) {
-        return false;
-      }
-    } else if (flag.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return false;
-    } else if (positional == 0) {
-      args.command = flag;
-      ++positional;
-    } else if (positional == 1 &&
-               (args.command == "decompose" || args.command == "query" ||
-                args.command == "job")) {
-      if (args.command == "job") {
-        args.job_id = flag;
-      } else {
-        args.file = flag;
-      }
-      ++positional;
-    } else {
-      std::fprintf(stderr, "unexpected argument: %s\n", flag.c_str());
-      return false;
-    }
-  }
-  if (args.command == "decompose") return !args.file.empty() && args.k >= 1;
-  if (args.command == "query") return !args.file.empty();
-  if (args.command == "job") return !args.job_id.empty();
-  return args.command == "stats" || args.command == "snapshot" ||
-         args.command == "metrics" || args.command == "trace" ||
-         args.command == "sync";
+  return args.command == "decompose" ? args.k >= 1
+                                     : takes_operand || FansOut(args.command);
 }
 
 /// One HTTP exchange (Connection: close) over the shared client
@@ -323,8 +242,9 @@ int FanOut(const Args& args, const std::string& method,
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, args)) {
-    Usage(argv[0]);
+  const htd::util::FlagTable flags = Flags(args);
+  if (!ParseArgs(flags, argc, argv, args)) {
+    std::fputs(flags.Usage(argv[0]).c_str(), stderr);
     return 2;
   }
 

@@ -32,7 +32,7 @@
 // first failed step; nothing is rolled back automatically (the router can
 // be reverted with POST /v1/admin/transition?abort=1 — see the runbook).
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,27 +44,12 @@
 namespace {
 
 struct Args {
-  std::string from_spec;
-  std::string to_spec;
-  std::string router_host;
-  int router_port = 0;
-  bool have_router = false;
+  std::optional<htd::service::ShardMap> from;
+  std::optional<htd::service::ShardMap> to;
+  std::optional<htd::service::ShardEndpoint> router;
   bool dry_run = false;
   double timeout = 300.0;
 };
-
-void Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --from H:P,... --to H:P,... [options]\n"
-      "  --from SPEC     the fleet's CURRENT shard map\n"
-      "  --to SPEC       the new shard map (host:port*2 = replicated range)\n"
-      "  --router H:P    a --route-to proxy to transition and flip\n"
-      "                  (omit for fleets addressed by hdclient --shards)\n"
-      "  --timeout S     per-step HTTP timeout (default 300)\n"
-      "  --dry-run       print the migration plan and exit\n",
-      argv0);
-}
 
 /// One HTTP step against a backend or the router; prints and fails loudly.
 bool Step(const Args& args, const std::string& what, const std::string& host,
@@ -116,64 +101,27 @@ long long MigrationCounter(const Args& args,
 
 int main(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--from") {
-      args.from_spec = next("--from");
-    } else if (flag == "--to") {
-      args.to_spec = next("--to");
-    } else if (flag == "--router") {
-      const char* text = next("--router");
-      auto endpoint = htd::service::ShardEndpoint::Parse(text);
-      if (!endpoint.has_value()) {
-        std::fprintf(stderr, "invalid value for --router: \"%s\" (expected "
-                             "host:port)\n\n", text);
-        Usage(argv[0]);
-        return 2;
-      }
-      args.router_host = endpoint->host;
-      args.router_port = endpoint->port;
-      args.have_router = true;
-    } else if (flag == "--timeout") {
-      if (!htd::util::ParseDoubleFlag(next("--timeout"), 0.0, &args.timeout)) {
-        std::fprintf(stderr, "invalid value for --timeout\n\n");
-        Usage(argv[0]);
-        return 2;
-      }
-    } else if (flag == "--dry-run") {
-      args.dry_run = true;
-    } else if (flag == "--help" || flag == "-h") {
-      Usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n\n", flag.c_str());
-      Usage(argv[0]);
-      return 2;
-    }
-  }
-  if (args.from_spec.empty() || args.to_spec.empty()) {
-    Usage(argv[0]);
+  htd::util::FlagTable flags("--from H:P,... --to H:P,... [options]");
+  flags.Parsed("--from", "SPEC", &args.from, "the fleet's CURRENT shard map")
+      .Parsed("--to", "SPEC", &args.to,
+              "the new shard map (host:port*2 = replicated range)")
+      .Parsed("--router", "H:P",
+              [&args](const std::string& text) {
+                args.router = htd::service::ShardEndpoint::Parse(text);
+                return std::string(args.router ? "" : "expected host:port");
+              },
+              "a --route-to proxy to transition and flip (omit for fleets "
+              "addressed by hdclient --shards)")
+      .Seconds("--timeout", &args.timeout, "per-step HTTP timeout")
+      .Switch("--dry-run", &args.dry_run, "print the migration plan and exit");
+  flags.ParseOrExit(argc, argv);
+  if (!args.from || !args.to) {
+    std::fprintf(stderr, "--from and --to are required\n\n%s",
+                 flags.Usage(argv[0]).c_str());
     return 2;
   }
-
-  auto from = htd::service::ShardMap::Parse(args.from_spec);
-  if (!from.ok()) {
-    std::fprintf(stderr, "hdreshard: --from: %s\n",
-                 from.status().message().c_str());
-    return 2;
-  }
-  auto to = htd::service::ShardMap::Parse(args.to_spec);
-  if (!to.ok()) {
-    std::fprintf(stderr, "hdreshard: --to: %s\n", to.status().message().c_str());
-    return 2;
-  }
+  const std::optional<htd::service::ShardMap>& from = args.from;
+  const std::optional<htd::service::ShardMap>& to = args.to;
   if (from->Digest() == to->Digest()) {
     std::fprintf(stderr, "hdreshard: --from and --to are the same map "
                          "(digest %s); nothing to do\n",
@@ -233,8 +181,8 @@ int main(int argc, char** argv) {
   if (args.dry_run) return 0;
 
   // 1. Announce the transition to the router: double-routing starts here.
-  if (args.have_router &&
-      !Step(args, "announce transition", args.router_host, args.router_port,
+  if (args.router &&
+      !Step(args, "announce transition", args.router->host, args.router->port,
             "POST", "/v1/admin/transition", to->Serialise())) {
     return 1;
   }
@@ -279,8 +227,8 @@ int main(int argc, char** argv) {
   }
 
   // 4. Flip the router onto the new map.
-  if (args.have_router &&
-      !Step(args, "flip router", args.router_host, args.router_port, "POST",
+  if (args.router &&
+      !Step(args, "flip router", args.router->host, args.router->port, "POST",
             "/v1/admin/transition?complete=1", "")) {
     return 1;
   }

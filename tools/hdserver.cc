@@ -31,7 +31,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -46,110 +46,6 @@ namespace {
 std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true); }
-
-void Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options]\n"
-      "  --host ADDR        listen address (default 127.0.0.1)\n"
-      "  --port N           listen port, 0 = ephemeral (default 8080)\n"
-      "  --io-threads N     handler-executing threads: a synchronous solve\n"
-      "                     blocks one for its duration (default 8)\n"
-      "  --loop-threads N   epoll event-loop ring driving connection I/O;\n"
-      "                     a few loops carry tens of thousands of sockets\n"
-      "                     (default 2)\n"
-      "  --workers N        fleet executor width: workers shared by every\n"
-      "                     solve and async query job (default 4)\n"
-      "  --threads N        intra-solve threads per job; 0 = batch-aware auto\n"
-      "                     (default 0)\n"
-      "  --solver NAME      logk | logk-basic | detk | hybrid | balsep-ghd\n"
-      "  --queue-depth N    admission bound: shed with 429 beyond N\n"
-      "                     outstanding jobs (default 64)\n"
-      "  --max-connections N  live-connection bound: further connections are\n"
-      "                     answered 503 and closed (default 64)\n"
-      "  --idle-timeout S   close keep-alive connections idle past S seconds\n"
-      "                     (default 30)\n"
-      "  --header-timeout S reap a connection still mid-request after S\n"
-      "                     seconds with 408 (slow-loris guard; default 10,\n"
-      "                     0 = use --idle-timeout)\n"
-      "  --write-timeout S  abandon a response part-flushed to a stalled\n"
-      "                     reader after S seconds (default 30)\n"
-      "  --default-timeout S  deadline for requests without ?timeout=\n"
-      "                     (default 30, 0 = none)\n"
-      "  --cache-capacity N result-cache entries (default 4096)\n"
-      "  --store            enable the cross-instance subproblem store\n"
-      "  --store-budget-mb N  subproblem store byte budget (default 64)\n"
-      "  --max-k N          largest accepted width parameter (default 64)\n"
-      "  --snapshot PATH    warm-state snapshot file (enables\n"
-      "                     /v1/admin/snapshot, startup restore, exit save)\n"
-      "  --snapshot-interval S  also save the snapshot every S seconds\n"
-      "                     (0 = off, the default; requires --snapshot)\n"
-      "  --no-load          do not restore the snapshot at startup\n"
-      "  --no-save-on-exit  do not save the snapshot on clean shutdown\n"
-      "sharding (docs/SERVER.md, docs/OPERATIONS.md):\n"
-      "  --shard-map H:P,H:P,...  fleet topology; this process serves the\n"
-      "                     fingerprint range of shard --shard-index.\n"
-      "                     \"H:P*2\" marks a replicated range (this endpoint\n"
-      "                     plus the next serve the same range)\n"
-      "  --shard-index N    which RANGE of --shard-map this process serves\n"
-      "                     (replicas of one range share the index)\n"
-      "  --route-to H:P,H:P,...   proxy mode: forward /v1/decompose to the\n"
-      "                     owning shard instead of serving locally\n"
-      "  --route-backoff S  base backoff after a shard transport failure\n"
-      "                     (default 0.5, doubling up to 30)\n"
-      "  --anti-entropy-interval S  reconcile warm state with the replica\n"
-      "                     siblings of this range every S seconds (0 = off,\n"
-      "                     the default; requires --shard-map). POST\n"
-      "                     /v1/admin/antientropy forces a round either way\n"
-      "  --anti-entropy-slices N  digest sub-slices per comparison\n"
-      "                     (default 16, max 4096)\n"
-      "  --self H:P         this process's own endpoint as written in\n"
-      "                     --shard-map, so the sweep skips itself (default:\n"
-      "                     inferred from the listen port)\n"
-      "live resharding: drive with hdreshard (POST /v1/admin/transition on\n"
-      "the router, /v1/admin/migrate on each backend)\n",
-      argv0);
-}
-
-/// Strict integer flag: full-string, range-checked. Prints usage and exits
-/// non-zero on garbage — `--port x` must not silently bind port 0.
-long RequireInt(const char* argv0, const char* flag, const char* text,
-                long min_value, long max_value) {
-  long value;
-  if (!htd::util::ParseIntFlag(text, min_value, max_value, &value)) {
-    std::fprintf(stderr,
-                 "invalid value for %s: \"%s\" (expected an integer in "
-                 "[%ld, %ld])\n\n",
-                 flag, text, min_value, max_value);
-    Usage(argv0);
-    std::exit(2);
-  }
-  return value;
-}
-
-double RequireSeconds(const char* argv0, const char* flag, const char* text) {
-  double value;
-  if (!htd::util::ParseDoubleFlag(text, 0.0, &value)) {
-    std::fprintf(stderr,
-                 "invalid value for %s: \"%s\" (expected seconds >= 0)\n\n",
-                 flag, text);
-    Usage(argv0);
-    std::exit(2);
-  }
-  return value;
-}
-
-htd::service::ShardMap RequireShardMap(const char* argv0, const char* flag,
-                                       const char* text) {
-  auto map = htd::service::ShardMap::Parse(text);
-  if (!map.ok()) {
-    std::fprintf(stderr, "invalid value for %s: %s\n\n", flag,
-                 map.status().message().c_str());
-    Usage(argv0);
-    std::exit(2);
-  }
-  return *std::move(map);
-}
 
 /// Proxy mode: an HttpServer whose handler is the ShardRouter; no local
 /// service, no snapshot — the shards own the warm state.
@@ -192,115 +88,88 @@ int main(int argc, char** argv) {
   int workers = 4;
   double snapshot_interval = 0.0;
   bool have_shard_index = false;
-  std::string route_to_spec;
+  std::optional<htd::service::ShardMap> route_to;
   htd::net::ShardRouterOptions router_options{
       htd::service::ShardMap::Parse("unused:1").value()};
+  htd::net::HttpServer::Options& http = options.http;
+  htd::service::ServiceOptions& service = options.service;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--host") {
-      options.http.host = next("--host");
-    } else if (flag == "--port") {
-      options.http.port = static_cast<int>(
-          RequireInt(argv[0], "--port", next("--port"), 0, 65535));
-    } else if (flag == "--io-threads") {
-      options.http.io_threads = static_cast<int>(
-          RequireInt(argv[0], "--io-threads", next("--io-threads"), 1, 1024));
-    } else if (flag == "--loop-threads") {
-      options.http.loop_threads = static_cast<int>(RequireInt(
-          argv[0], "--loop-threads", next("--loop-threads"), 1, 256));
-    } else if (flag == "--idle-timeout") {
-      options.http.idle_timeout_seconds =
-          RequireSeconds(argv[0], "--idle-timeout", next("--idle-timeout"));
-    } else if (flag == "--header-timeout") {
-      options.http.header_timeout_seconds =
-          RequireSeconds(argv[0], "--header-timeout", next("--header-timeout"));
-    } else if (flag == "--write-timeout") {
-      options.http.write_timeout_seconds =
-          RequireSeconds(argv[0], "--write-timeout", next("--write-timeout"));
-    } else if (flag == "--workers") {
-      workers = static_cast<int>(
-          RequireInt(argv[0], "--workers", next("--workers"), 1, 1024));
-    } else if (flag == "--threads") {
-      options.service.solve.num_threads = static_cast<int>(
-          RequireInt(argv[0], "--threads", next("--threads"), 0, 1024));
-    } else if (flag == "--solver") {
-      options.service.solver_name = next("--solver");
-    } else if (flag == "--queue-depth") {
-      options.max_queue_depth = static_cast<int>(RequireInt(
-          argv[0], "--queue-depth", next("--queue-depth"), 1, 1'000'000));
-    } else if (flag == "--max-connections") {
-      options.http.max_connections = static_cast<int>(
-          RequireInt(argv[0], "--max-connections", next("--max-connections"), 1,
-                     1'000'000));
-    } else if (flag == "--default-timeout") {
-      options.service.default_timeout_seconds =
-          RequireSeconds(argv[0], "--default-timeout", next("--default-timeout"));
-    } else if (flag == "--cache-capacity") {
-      options.service.cache_capacity = static_cast<size_t>(
-          RequireInt(argv[0], "--cache-capacity", next("--cache-capacity"), 1,
-                     1'000'000'000));
-    } else if (flag == "--store") {
-      options.service.enable_subproblem_store = true;
-    } else if (flag == "--store-budget-mb") {
-      options.service.subproblem_store.byte_budget =
-          static_cast<size_t>(RequireInt(argv[0], "--store-budget-mb",
-                                         next("--store-budget-mb"), 1,
-                                         1'000'000))
-          << 20;
-      options.service.enable_subproblem_store = true;
-    } else if (flag == "--max-k") {
-      options.max_k = static_cast<int>(
-          RequireInt(argv[0], "--max-k", next("--max-k"), 1, 1'000'000));
-    } else if (flag == "--snapshot") {
-      options.snapshot_path = next("--snapshot");
-    } else if (flag == "--snapshot-interval") {
-      snapshot_interval = RequireSeconds(argv[0], "--snapshot-interval",
-                                         next("--snapshot-interval"));
-    } else if (flag == "--no-load") {
-      options.load_snapshot_on_start = false;
-    } else if (flag == "--no-save-on-exit") {
-      save_on_exit = false;
-    } else if (flag == "--shard-map") {
-      options.shard_map =
-          RequireShardMap(argv[0], "--shard-map", next("--shard-map"));
-    } else if (flag == "--shard-index") {
-      options.shard_index = static_cast<int>(
-          RequireInt(argv[0], "--shard-index", next("--shard-index"), 0, 4095));
-      have_shard_index = true;
-    } else if (flag == "--anti-entropy-interval") {
-      options.anti_entropy_interval_seconds =
-          RequireSeconds(argv[0], "--anti-entropy-interval",
-                         next("--anti-entropy-interval"));
-    } else if (flag == "--anti-entropy-slices") {
-      options.anti_entropy_slices = static_cast<int>(
-          RequireInt(argv[0], "--anti-entropy-slices",
-                     next("--anti-entropy-slices"), 1, 4096));
-    } else if (flag == "--self") {
-      options.anti_entropy_self = next("--self");
-    } else if (flag == "--route-to") {
-      route_to_spec = next("--route-to");
-    } else if (flag == "--route-backoff") {
-      router_options.backoff_base_seconds =
-          RequireSeconds(argv[0], "--route-backoff", next("--route-backoff"));
-    } else if (flag == "--help" || flag == "-h") {
-      Usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      Usage(argv[0]);
-      return 2;
-    }
-  }
+  htd::util::FlagTable flags(
+      "[options]",
+      "sharding: docs/SERVER.md, docs/OPERATIONS.md. Live resharding: drive "
+      "with\nhdreshard (POST /v1/admin/transition on the router, "
+      "/v1/admin/migrate on\neach backend)\n");
+  flags.Text("--host", "ADDR", &http.host, "listen address")
+      .Int("--port", &http.port, 0, 65535, "listen port, 0 = ephemeral")
+      .Int("--io-threads", &http.io_threads, 1, 1024,
+           "handler threads; a synchronous solve blocks one while it runs")
+      .Int("--loop-threads", &http.loop_threads, 1, 256,
+           "epoll loops driving connection I/O (a few carry 10k+ sockets)")
+      .Int("--workers", &workers, 1, 1024,
+           "fleet executor width, shared by every solve and async query job")
+      .Int("--threads", &service.solve.num_threads, 0, 1024,
+           "intra-solve threads per job; 0 = batch-aware auto")
+      .Text("--solver", "NAME", &service.solver_name,
+            "logk | logk-basic | detk | hybrid | balsep-ghd")
+      .Int("--queue-depth", &options.max_queue_depth, 1, 1'000'000,
+           "admission bound: shed with 429 beyond N outstanding jobs")
+      .Int("--max-connections", &http.max_connections, 1, 1'000'000,
+           "live-connection bound: further connections get 503 and close")
+      .Seconds("--idle-timeout", &http.idle_timeout_seconds,
+               "close keep-alive connections idle past S seconds")
+      .Seconds("--header-timeout", &http.header_timeout_seconds,
+               "408 a connection still mid-request after S seconds "
+               "(slow-loris guard; 0 = use --idle-timeout)")
+      .Seconds("--write-timeout", &http.write_timeout_seconds,
+               "abandon a response stalled mid-flush after S seconds")
+      .Seconds("--default-timeout", &service.default_timeout_seconds,
+               "deadline for requests without ?timeout= (0 = none)")
+      .Int("--cache-capacity", &service.cache_capacity, 1, 1'000'000'000,
+           "result-cache entries")
+      .Switch("--store", &service.enable_subproblem_store,
+              "enable the cross-instance subproblem store")
+      .Int("--store-budget-mb", 1, 1'000'000,
+           [&service](long mb) {
+             service.subproblem_store.byte_budget = static_cast<size_t>(mb) << 20;
+             service.enable_subproblem_store = true;
+           },
+           "subproblem store byte budget (implies --store)",
+           static_cast<long>(service.subproblem_store.byte_budget >> 20))
+      .Int("--max-k", &options.max_k, 1, 1'000'000,
+           "largest accepted width parameter")
+      .Text("--snapshot", "PATH", &options.snapshot_path,
+            "warm-state file: /v1/admin/snapshot, startup restore, exit save")
+      .Seconds("--snapshot-interval", &snapshot_interval,
+               "also save the snapshot every S seconds (0 = off)")
+      .Switch("--no-load", &options.load_snapshot_on_start,
+              "do not restore the snapshot at startup", false)
+      .Switch("--no-save-on-exit", &save_on_exit,
+              "do not save the snapshot on clean shutdown", false)
+      .Parsed("--shard-map", "H:P,H:P,...", &options.shard_map,
+              "fleet topology; \"H:P*2\" marks a replicated range (this "
+              "endpoint plus the next serve it)")
+      .Int("--shard-index", 0, 4095,
+           [&](long index) {
+             options.shard_index = static_cast<int>(index);
+             have_shard_index = true;
+           },
+           "the RANGE of --shard-map served here (shared by its replicas)",
+           std::nullopt)
+      .Parsed("--route-to", "H:P,H:P,...", &route_to,
+              "proxy mode: forward to the owning shard, serve nothing locally")
+      .Seconds("--route-backoff", &router_options.backoff_base_seconds,
+               "backoff after a shard transport failure, doubling up to 30 s")
+      .Seconds("--anti-entropy-interval", &options.anti_entropy_interval_seconds,
+               "pull warm state from this range's replica siblings every S "
+               "seconds (0 = off; POST /v1/admin/antientropy forces a round)")
+      .Int("--anti-entropy-slices", &options.anti_entropy_slices, 1, 4096,
+           "digest sub-slices per comparison")
+      .Text("--self", "H:P", &options.anti_entropy_self,
+            "this process as written in --shard-map, so the sweep skips it "
+            "(default: inferred from the listen port)");
+  flags.ParseOrExit(argc, argv);
 
-  if (!route_to_spec.empty()) {
+  if (route_to.has_value()) {
     if (options.shard_map.has_value() || have_shard_index ||
         !options.snapshot_path.empty()) {
       std::fprintf(stderr,
@@ -309,8 +178,7 @@ int main(int argc, char** argv) {
                    "state, the router owns none\n");
       return 2;
     }
-    router_options.map =
-        RequireShardMap(argv[0], "--route-to", route_to_spec.c_str());
+    router_options.map = *std::move(route_to);
     return RunRouter(options.http, std::move(router_options));
   }
   if (options.shard_map.has_value() != have_shard_index) {

@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end smoke test for hdserver + hdclient (run by CI).
 
-Phases (see ISSUE/acceptance criteria and docs/SERVER.md):
+Phases (docs/SERVER.md):
+  0. flags: hdserver, hdclient and hdreshard each answer --help with exit 0
+     and a usage text naming every flag they accept, refuse a malformed
+     value with exit 2 and "invalid value for", and refuse an unknown flag
+     with exit 2;
   1. cold server on a small corpus: every request answers 200, repeats hit
      the result cache, /v1/admin/snapshot persists the warm state;
   2. restart from the snapshot: the replayed corpus reports cache hits and
@@ -111,6 +115,53 @@ def stop_server(proc):
     except subprocess.TimeoutExpired:
         proc.kill()
         fail("hdserver did not shut down on SIGTERM within 20s")
+
+
+# Every flag each tool accepts; a flag missing from --help was dropped.
+TOOL_FLAGS = {
+    "hdserver": (
+        "--host", "--port", "--io-threads", "--loop-threads", "--workers",
+        "--threads", "--solver", "--queue-depth", "--max-connections",
+        "--idle-timeout", "--header-timeout", "--write-timeout",
+        "--default-timeout", "--cache-capacity", "--store",
+        "--store-budget-mb", "--max-k", "--snapshot", "--snapshot-interval",
+        "--no-load", "--no-save-on-exit", "--shard-map", "--shard-index",
+        "--route-to", "--route-backoff", "--anti-entropy-interval",
+        "--anti-entropy-slices", "--self"),
+    "hdclient": (
+        "--host", "--port", "--shards", "--k", "--timeout", "--count",
+        "--connect-timeout", "--async", "--decomposition",
+        "--expect-cache-hit", "--quiet", "--verbose", "--last"),
+    "hdreshard": ("--from", "--to", "--router", "--timeout", "--dry-run"),
+}
+
+
+def flag_phase():
+    bad_value = {"hdserver": "--port", "hdclient": "--port",
+                 "hdreshard": "--timeout"}
+    for tool, flags in TOOL_FLAGS.items():
+        binary = str(BUILD / tool)
+
+        def run(*args):
+            return subprocess.run([binary, *args], capture_output=True,
+                                  text=True, timeout=CLIENT_TIMEOUT)
+
+        shown = run("--help")
+        if shown.returncode != 0:
+            fail(f"{tool} --help exited {shown.returncode}")
+        listed = set(re.findall(r"(?<![\w-])(--[a-z][a-z-]*)",
+                                shown.stdout + shown.stderr))
+        missing = [flag for flag in flags if flag not in listed]
+        if missing:
+            fail(f"{tool} --help does not list {missing}")
+        bad = run(bad_value[tool], "x")
+        if bad.returncode != 2 or "invalid value for" not in bad.stderr:
+            fail(f"{tool} {bad_value[tool]} x exited {bad.returncode}: "
+                 f"{bad.stderr[:200]}")
+        unknown = run("--no-such-flag")
+        if unknown.returncode != 2 or "unknown flag" not in unknown.stderr:
+            fail(f"{tool} --no-such-flag exited {unknown.returncode}: "
+                 f"{unknown.stderr[:200]}")
 
 
 def write_corpus(workdir):
@@ -787,6 +838,10 @@ def main():
     for binary in (HDSERVER, HDCLIENT, HDRESHARD):
         if not binary.exists():
             fail(f"{binary} not built")
+    flag_phase()
+    print("phase 0 OK: every tool lists its flags, refuses bad values and "
+          "unknown flags with exit 2")
+
     workdir = Path(tempfile.mkdtemp(prefix="hdserver_smoke_"))
     snapshot = workdir / "warm.snap"
     corpus = write_corpus(workdir)
