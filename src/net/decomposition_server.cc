@@ -125,89 +125,7 @@ void WriteQueryAnswer(JsonWriter& json, const qa::QueryAnswer& answer) {
       .Field("execute_seconds", answer.execute_seconds);
 }
 
-std::string HexRange(const service::FingerprintRange& range) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%016llx-%016llx",
-                static_cast<unsigned long long>(range.first_hi),
-                static_cast<unsigned long long>(range.last_hi));
-  return std::string(buf);
-}
-
-/// Parses "HEX-HEX" (1..16 hex digits each side, first <= last) — the wire
-/// form of a fingerprint hi-range, matching the rendering in /v1/stats.
-bool ParseHexRange(const std::string& text, service::FingerprintRange* out) {
-  size_t dash = text.find('-');
-  if (dash == std::string::npos || dash == 0 || dash + 1 >= text.size()) {
-    return false;
-  }
-  auto parse_half = [](std::string_view half, uint64_t* value) {
-    if (half.empty() || half.size() > 16) return false;
-    *value = 0;
-    for (char c : half) {
-      int digit;
-      if (c >= '0' && c <= '9') digit = c - '0';
-      else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-      else if (c >= 'A' && c <= 'F') digit = c - 'A' + 10;
-      else return false;
-      *value = (*value << 4) | static_cast<uint64_t>(digit);
-    }
-    return true;
-  };
-  uint64_t first, last;
-  if (!parse_half(std::string_view(text).substr(0, dash), &first) ||
-      !parse_half(std::string_view(text).substr(dash + 1), &last)) {
-    return false;
-  }
-  if (first > last) return false;
-  out->first_hi = first;
-  out->last_hi = last;
-  return true;
-}
-
-/// Intersection of two hi-ranges; false when they are disjoint.
-bool Intersect(const service::FingerprintRange& a,
-               const service::FingerprintRange& b,
-               service::FingerprintRange* out) {
-  const uint64_t first = a.first_hi > b.first_hi ? a.first_hi : b.first_hi;
-  const uint64_t last = a.last_hi < b.last_hi ? a.last_hi : b.last_hi;
-  if (first > last) return false;
-  out->first_hi = first;
-  out->last_hi = last;
-  return true;
-}
-
 using ShardState = DecompositionServer::ShardState;
-
-/// True when a request routed by `digest_hex` may be served here: the
-/// current digest, or — mid-migration — the incoming topology's digest.
-bool DigestAccepted(const ShardState& state, const std::string& digest_hex) {
-  return digest_hex == state.digest_hex ||
-         (state.transitioning() && digest_hex == state.new_digest_hex);
-}
-
-/// True when `fp` is in a range this server currently answers for: its old
-/// range, or — mid-migration, when it stays in the fleet — its new one.
-bool RangeAccepted(const ShardState& state, const service::Fingerprint& fp) {
-  return state.range.Contains(fp) ||
-         (state.transitioning() && state.new_index >= 0 &&
-          state.new_range.Contains(fp));
-}
-
-/// The smallest single interval covering everything this server accepts.
-/// Used by /v1/admin/import (an operator/migration path): precise enough to
-/// refuse clearly-foreign entries while staying one DecodeSnapshot pass.
-service::FingerprintRange CoveringRange(const ShardState& state) {
-  service::FingerprintRange covering = state.range;
-  if (state.transitioning() && state.new_index >= 0) {
-    if (state.new_range.first_hi < covering.first_hi) {
-      covering.first_hi = state.new_range.first_hi;
-    }
-    if (state.new_range.last_hi > covering.last_hi) {
-      covering.last_hi = state.new_range.last_hi;
-    }
-  }
-  return covering;
-}
 
 }  // namespace
 
@@ -254,9 +172,6 @@ util::StatusOr<std::unique_ptr<DecompositionServer>> DecompositionServer::Create
           options.anti_entropy_self + "\"");
     }
   }
-  // One Retry-After story for both shedding layers (queue bound here,
-  // connection bound in the transport).
-  options.http.retry_after_seconds = options.retry_after_seconds;
   auto service = service::DecompositionService::Create(options.service);
   if (!service.ok()) return service.status();
 
@@ -267,22 +182,22 @@ util::StatusOr<std::unique_ptr<DecompositionServer>> DecompositionServer::Create
       server->service_.get(), server->options_.query);
   server->ae_self_ = std::move(ae_self);
   if (server->options_.shard_map.has_value()) {
-    auto state = std::make_shared<ShardState>(*server->options_.shard_map);
-    state->index = server->options_.shard_index;
-    state->range = state->map.RangeFor(state->index);
-    state->digest_hex = state->map.DigestHex();
-    server->shard_state_ = std::move(state);
+    server->shard_state_ = std::make_shared<const ShardState>(
+        ShardState{service::Topology(*server->options_.shard_map),
+                   server->options_.shard_index});
   }
+  // A sharded server restores only its own range; the default range is the
+  // whole fingerprint space.
   auto shard = server->shard_state();
-  const service::FingerprintRange* range =
-      shard != nullptr ? &shard->range : nullptr;
+  const service::FingerprintRange range =
+      shard != nullptr ? shard->range() : service::FingerprintRange{};
 
   if (!server->options_.snapshot_path.empty() &&
       server->options_.load_snapshot_on_start) {
     auto loaded = service::LoadSnapshot(server->options_.snapshot_path,
                                         server->service_->result_cache(),
                                         server->service_->subproblem_store(),
-                                        range);
+                                        &range);
     if (loaded.ok()) {
       server->restored_ = *loaded;
     } else if (loaded.status().code() != util::StatusCode::kNotFound) {
@@ -469,12 +384,13 @@ util::StatusOr<service::SnapshotStats> DecompositionServer::SaveSnapshotNow() {
   // of its shards' snapshot files. Mid-migration the server answers for two
   // ranges at once, so it snapshots unfiltered (restores filter anyway).
   auto state = shard_state();
-  const service::FingerprintRange* range =
-      state != nullptr && !state->transitioning() ? &state->range : nullptr;
+  const service::FingerprintRange range =
+      state != nullptr && !state->transitioning() ? state->range()
+                                                  : service::FingerprintRange{};
   return service::SaveSnapshot(options_.snapshot_path,
                                service_->result_cache(),
                                service_->subproblem_store(),
-                               CurrentConfigDigest(), range);
+                               CurrentConfigDigest(), &range);
 }
 
 HttpResponse DecompositionServer::Handle(const HttpRequest& request) {
@@ -574,15 +490,17 @@ std::optional<HttpResponse> DecompositionServer::Admit(
   if (shard != nullptr) {
     auto digest = request.headers.find("x-htd-shard-digest");
     if (digest != request.headers.end()) {
-      if (!DigestAccepted(*shard, digest->second)) {
+      const service::Topology& topology = shard->topology;
+      if (!topology.AcceptsDigest(digest->second)) {
         misrouted_->Add();
         return JsonErrorResponse(
             421, "shard map digest mismatch: this shard is " +
                      std::to_string(shard->index) + "/" +
-                     std::to_string(shard->map.num_shards()) + " of " +
-                     shard->map.Serialise() + " (digest " + shard->digest_hex +
-                     (shard->transitioning()
-                          ? ", transitioning to " + shard->new_digest_hex
+                     std::to_string(topology.current().num_shards()) + " of " +
+                     topology.current().Serialise() + " (digest " +
+                     topology.current().DigestHex() +
+                     (topology.transitioning()
+                          ? ", transitioning to " + topology.incoming()->DigestHex()
                           : "") +
                      "); request was routed by digest " + digest->second);
       }
@@ -595,7 +513,7 @@ std::optional<HttpResponse> DecompositionServer::Admit(
         bad_requests_->Add();
         return JsonErrorResponse(400, "x-htd-shard-fingerprint must be 32 hex digits");
       }
-      if (!RangeAccepted(*shard, fp)) {
+      if (!shard->topology.Serves(shard->index, shard->new_index, fp)) {
         misrouted_->Add();
         return JsonErrorResponse(
             421, "misrouted: fingerprint " + fp_header->second +
@@ -623,12 +541,9 @@ std::optional<HttpResponse> DecompositionServer::Admit(
   if (TotalOutstandingJobs() >=
       static_cast<uint64_t>(options_.max_queue_depth)) {
     shed_->Add();
-    HttpResponse response = JsonErrorResponse(
+    return RetryLaterResponse(
         429, "queue full: " + std::to_string(options_.max_queue_depth) +
                  " jobs outstanding; retry later");
-    response.headers.emplace_back("Retry-After",
-                                  std::to_string(options_.retry_after_seconds));
-    return response;
   }
 
   // The parse stage is timed unconditionally (histogram) and recorded as a
@@ -658,12 +573,12 @@ std::optional<HttpResponse> DecompositionServer::Admit(
     // topology; recomputing here would double-pay canonicalisation on
     // every routed request.)
     const service::Fingerprint fp = route.fingerprint(*parsed);
-    if (!RangeAccepted(*shard, fp)) {
+    if (!shard->topology.Serves(shard->index, shard->new_index, fp)) {
       misrouted_->Add();
       return JsonErrorResponse(
           421, std::string("misrouted: ") + route.subject + " fingerprint " +
                    fp.ToHex() + " belongs to shard " +
-                   std::to_string(shard->map.IndexFor(fp)) +
+                   std::to_string(shard->topology.current().IndexFor(fp)) +
                    ", this is shard " + std::to_string(shard->index) +
                    " (route via the shard map)");
     }
@@ -887,16 +802,18 @@ HttpResponse DecompositionServer::HandleStats() {
   auto shard = shard_state();
   json.Object("shard").Field("enabled", shard != nullptr);
   if (shard != nullptr) {
+    const service::Topology& topology = shard->topology;
     json.Field("index", shard->index)
-        .Field("count", shard->map.num_shards())
-        .Field("digest", shard->digest_hex)
-        .Field("range", HexRange(shard->range))
-        .Field("transitioning", shard->transitioning());
-    if (shard->transitioning()) {
-      json.Field("new_digest", shard->new_digest_hex)
+        .Field("count", topology.current().num_shards())
+        .Field("digest", topology.current().DigestHex())
+        .Field("range", shard->range().ToHex())
+        .Field("transitioning", topology.transitioning());
+    if (topology.transitioning()) {
+      json.Field("new_digest", topology.incoming()->DigestHex())
           .Field("new_index", shard->new_index);
       if (shard->new_index >= 0) {
-        json.Field("new_range", HexRange(shard->new_range));
+        json.Field("new_range",
+                   topology.incoming()->RangeFor(shard->new_index).ToHex());
       }
     }
   }
@@ -939,7 +856,7 @@ HttpResponse DecompositionServer::HandleExport(const HttpRequest& request) {
   const std::string range_text = request.QueryOr("range", "");
   if (range_text.empty()) {
     // No range = everything this server holds (an operator copy drill).
-  } else if (!ParseHexRange(range_text, &range)) {
+  } else if (!service::FingerprintRange::FromHex(range_text, &range)) {
     return JsonErrorResponse(400, "query parameter range must be HEX-HEX "
                                   "(fingerprint hi bounds, inclusive)");
   }
@@ -961,14 +878,18 @@ std::optional<HttpResponse> DecompositionServer::RefuseForeignDigest(
     const HttpRequest& request, const ShardState* shard, const char* routed) {
   if (shard == nullptr) return std::nullopt;
   auto digest = request.headers.find("x-htd-shard-digest");
-  if (digest == request.headers.end() || DigestAccepted(*shard, digest->second)) {
+  const service::Topology& topology = shard->topology;
+  if (digest == request.headers.end() ||
+      topology.AcceptsDigest(digest->second)) {
     return std::nullopt;
   }
   misrouted_->Add();
   return JsonErrorResponse(
       421, std::string(routed) + " " + digest->second +
-               " but this shard accepts " + shard->digest_hex +
-               (shard->transitioning() ? " or " + shard->new_digest_hex : ""));
+               " but this shard accepts " + topology.current().DigestHex() +
+               (topology.transitioning()
+                    ? " or " + topology.incoming()->DigestHex()
+                    : ""));
 }
 
 HttpResponse DecompositionServer::HandleImport(const HttpRequest& request) {
@@ -988,7 +909,7 @@ HttpResponse DecompositionServer::HandleImport(const HttpRequest& request) {
   service::FingerprintRange covering;
   const service::FingerprintRange* range = nullptr;
   if (shard != nullptr) {
-    covering = CoveringRange(*shard);
+    covering = shard->topology.Covering(shard->index, shard->new_index);
     range = &covering;
   }
   auto imported = service::DecodeSnapshot(request.body,
@@ -1023,25 +944,24 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
   }
 
   if (request.QueryOr("finalise", "0") == "1") {
-    if (!shard->transitioning()) {
-      return JsonErrorResponse(412, "no migration in flight to finalise");
+    auto completed = shard->topology.Complete();
+    if (!completed.ok()) {
+      return JsonErrorResponse(412, completed.status().message());
     }
     if (shard->new_index < 0) {
       return JsonErrorResponse(412, "this backend is leaving the fleet "
                                     "(new_index=-1); shut it down instead of "
                                     "finalising");
     }
-    auto next = std::make_shared<ShardState>(*shard->new_map);
-    next->index = shard->new_index;
-    next->range = next->map.RangeFor(next->index);
-    next->digest_hex = next->map.DigestHex();
+    auto next = std::make_shared<const ShardState>(
+        ShardState{std::move(completed).value(), shard->new_index});
     SwapShardState(next);
     JsonWriter json;
     json.Object()
         .Field("finalised", true)
-        .Field("digest", next->digest_hex)
+        .Field("digest", next->topology.current().DigestHex())
         .Field("index", next->index)
-        .Field("range", HexRange(next->range));
+        .Field("range", next->range().ToHex());
     return JsonResponse(json);
   }
 
@@ -1065,35 +985,25 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
       return JsonErrorResponse(400, "query parameter self must be host:port");
     }
   }
-  if (request.body.empty()) {
-    return JsonErrorResponse(400, "empty body: expected the new shard map spec "
-                                  "(host:port,host:port*2,...)");
-  }
-  std::string spec = request.body;
-  while (!spec.empty() && (spec.back() == '\n' || spec.back() == '\r')) {
-    spec.pop_back();
-  }
-  auto new_map = service::ShardMap::Parse(spec);
-  if (!new_map.ok()) {
-    return JsonErrorResponse(400, "cannot parse new shard map: " +
-                                      new_map.status().message());
-  }
+  auto new_map = ParseMapSpecBody(request.body);
+  if (!new_map.ok()) return JsonErrorResponse(400, new_map.status().message());
   if (new_index >= new_map->num_shards()) {
     return JsonErrorResponse(400, "new_index " + std::to_string(new_index) +
                                       " is outside the new map (" +
                                       std::to_string(new_map->num_shards()) +
                                       " shards)");
   }
-  if (new_map->DigestHex() == shard->digest_hex) {
-    return JsonErrorResponse(400, "new map equals the current map (digest " +
-                                      shard->digest_hex + "); nothing to migrate");
+  auto begun = shard->topology.Begin(*new_map);
+  if (!begun.ok()) {
+    return JsonErrorResponse(
+        begun.status().code() == util::StatusCode::kFailedPrecondition ? 409
+                                                                       : 400,
+        begun.status().message());
   }
-  if (shard->transitioning() &&
-      (shard->new_digest_hex != new_map->DigestHex() ||
-       shard->new_index != static_cast<int>(new_index))) {
+  if (shard->transitioning() && shard->new_index != new_index) {
     return JsonErrorResponse(
         409, "a different migration is already in flight (to digest " +
-                 shard->new_digest_hex + ", new_index " +
+                 new_map->DigestHex() + ", new_index " +
                  std::to_string(shard->new_index) +
                  "); finalise or restart it with the same arguments");
   }
@@ -1103,13 +1013,9 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
   // imports for its new range, so traffic keeps flowing mid-handover.
   // (Re-driving an identical in-flight migration is idempotent — pushes go
   // through the dominance-checked import path.)
-  auto next = std::make_shared<ShardState>(*shard);
-  next->new_map = *new_map;
-  next->new_index = static_cast<int>(new_index);
-  next->new_digest_hex = new_map->DigestHex();
-  if (new_index >= 0) next->new_range = new_map->RangeFor(next->new_index);
-  SwapShardState(next);
-  shard = next;
+  shard = std::make_shared<const ShardState>(ShardState{
+      std::move(begun).value(), shard->index, static_cast<int>(new_index)});
+  SwapShardState(shard);
 
   // ?prepare=1 stops here: the orchestrator (tools/hdreshard.cc) prepares
   // EVERY old backend before any of them streams, because migration pushes
@@ -1120,7 +1026,7 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
     json.Object()
         .Field("prepared", true)
         .Field("transitioning", true)
-        .Field("new_digest", shard->new_digest_hex)
+        .Field("new_digest", new_map->DigestHex())
         .Field("new_index", shard->new_index);
     return JsonResponse(json);
   }
@@ -1132,10 +1038,14 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
   bool all_ok = true;
   uint64_t moved = 0;
   JsonWriter targets;
+  const service::FingerprintRange own = shard->range();
   for (int j = 0; j < new_map->num_shards(); ++j) {
     if (j == shard->new_index && !self.has_value()) continue;
-    service::FingerprintRange leaving;
-    if (!Intersect(shard->range, new_map->RangeFor(j), &leaving)) continue;
+    const service::FingerprintRange owner = new_map->RangeFor(j);
+    const service::FingerprintRange leaving{
+        std::max(own.first_hi, owner.first_hi),
+        std::min(own.last_hi, owner.last_hi)};
+    if (leaving.first_hi > leaving.last_hi) continue;  // disjoint
     service::SnapshotStats written;
     std::string blob = service::EncodeSnapshot(
         service_->result_cache(), service_->subproblem_store(),
@@ -1152,7 +1062,7 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
               ? FetchResult{FetchResult::Transport::kOk, 200, {}, "", ""}
               : HttpFetch(target.host, target.port, "POST", "/v1/admin/import",
                           blob,
-                          {{"X-HTD-Shard-Digest", shard->new_digest_hex}},
+                          {{"X-HTD-Shard-Digest", new_map->DigestHex()}},
                           fetch);
       pushed_any = true;
       const bool ok = pushed.ok() && pushed.status == 200;
@@ -1173,7 +1083,7 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
   json.Object()
       .Field("migrated", all_ok)
       .Field("transitioning", true)
-      .Field("new_digest", shard->new_digest_hex)
+      .Field("new_digest", new_map->DigestHex())
       .Field("new_index", shard->new_index)
       .Field("entries_out", moved)
       .Raw("targets", "[" + targets.Finish() + "]");
@@ -1192,9 +1102,10 @@ HttpResponse DecompositionServer::HandleDigest(const HttpRequest& request) {
   // unsharded); an explicit ?range= narrows or widens it — e.g. a sweep
   // asking a transitioning sibling about the OLD range only.
   service::FingerprintRange range;
-  if (shard != nullptr) range = shard->range;
+  if (shard != nullptr) range = shard->range();
   const std::string range_text = request.QueryOr("range", "");
-  if (!range_text.empty() && !ParseHexRange(range_text, &range)) {
+  if (!range_text.empty() &&
+      !service::FingerprintRange::FromHex(range_text, &range)) {
     return JsonErrorResponse(400, "query parameter range must be HEX-HEX "
                                   "(fingerprint hi bounds, inclusive)");
   }
@@ -1259,8 +1170,8 @@ service::ShardEndpoint DecompositionServer::SelfEndpoint(
   // unambiguous whenever replica ports are distinct per host (loopback test
   // fleets always are). No match returns an empty endpoint: Siblings() then
   // yields the whole group, and the self-pull is a digest-equal no-op.
-  for (int r = 0; r < state.map.num_replicas(state.index); ++r) {
-    const service::ShardEndpoint& candidate = state.map.replica(state.index, r);
+  for (const service::ShardEndpoint& candidate :
+       state.topology.current().replicas(state.index)) {
     if (candidate.port == port()) return candidate;
   }
   return service::ShardEndpoint{};
@@ -1285,7 +1196,7 @@ DecompositionServer::RunAntiEntropySweep() {
         "migration in flight; anti-entropy resumes after finalise");
   }
   const std::vector<service::ShardEndpoint> siblings =
-      state->map.Siblings(state->index, SelfEndpoint(*state));
+      state->topology.current().Siblings(state->index, SelfEndpoint(*state));
   SweepResult result;
   result.siblings = static_cast<int>(siblings.size());
   if (siblings.empty()) {
@@ -1296,11 +1207,13 @@ DecompositionServer::RunAntiEntropySweep() {
   util::TraceScope sweep_span("ae_sweep",
                               static_cast<uint64_t>(siblings.size()));
   const uint64_t config_digest = CurrentConfigDigest();
+  const service::FingerprintRange range = state->range();
+  const std::string& map_digest = state->topology.current().DigestHex();
   service::DigestSummary local = service::ComputeDigestSummary(
       service_->result_cache(), service_->subproblem_store(), config_digest,
-      state->range, options_.anti_entropy_slices);
+      range, options_.anti_entropy_slices);
   const std::string digest_target =
-      "/v1/admin/digest?range=" + HexRange(state->range) +
+      "/v1/admin/digest?range=" + range.ToHex() +
       "&slices=" + std::to_string(options_.anti_entropy_slices);
   FetchOptions fetch;
   fetch.read_timeout_seconds = kAntiEntropyPullTimeoutSeconds;
@@ -1313,7 +1226,7 @@ DecompositionServer::RunAntiEntropySweep() {
     uint64_t merged_store = 0;
     FetchResult digest_response = HttpFetch(
         sibling.host, sibling.port, "GET", digest_target, "",
-        {{"X-HTD-Shard-Digest", state->digest_hex}}, fetch);
+        {{"X-HTD-Shard-Digest", map_digest}}, fetch);
     if (!digest_response.ok() || digest_response.status != 200) {
       ++result.errors;
       continue;
@@ -1352,8 +1265,8 @@ DecompositionServer::RunAntiEntropySweep() {
       ++result.slices_pulled;
       FetchResult blob = HttpFetch(
           sibling.host, sibling.port, "GET",
-          "/v1/admin/export?range=" + HexRange(local.slices[i].range), "",
-          {{"X-HTD-Shard-Digest", state->digest_hex}}, fetch);
+          "/v1/admin/export?range=" + local.slices[i].range.ToHex(), "",
+          {{"X-HTD-Shard-Digest", map_digest}}, fetch);
       if (!blob.ok() || blob.status != 200) {
         ++result.errors;
         sibling_ok = false;
@@ -1382,7 +1295,7 @@ DecompositionServer::RunAntiEntropySweep() {
         s + 1 < siblings.size()) {
       local = service::ComputeDigestSummary(
           service_->result_cache(), service_->subproblem_store(), config_digest,
-          state->range, options_.anti_entropy_slices);
+          range, options_.anti_entropy_slices);
     }
   }
 

@@ -123,8 +123,6 @@ struct DecompositionServerOptions {
   /// Admission bound: jobs admitted but not yet resolved. Requests beyond
   /// it are shed with 429.
   int max_queue_depth = 64;
-  /// Advertised in the Retry-After header of shed responses.
-  int retry_after_seconds = 1;
 
   /// Snapshot file for warm-state persistence; empty disables the
   /// /v1/admin/snapshot route and startup restore.
@@ -182,28 +180,26 @@ class DecompositionServer {
     int errors = 0;      ///< siblings whose exchange failed or was aborted
   };
 
-  /// The sharding identity the server currently enforces. Starts from
+  /// The sharding identity the server currently enforces: the fleet
+  /// topology (service::Topology, whose transition rules the router shares)
+  /// and this server's range in it. Starts from
   /// DecompositionServerOptions::{shard_map, shard_index}; replaced at
-  /// runtime by /v1/admin/migrate. While `new_map` is set the server is
-  /// TRANSITIONING: it accepts the old digest AND the new one, and
-  /// fingerprints in the old range AND (when it stays in the fleet) the new
-  /// one, so no correctly double-routed request 421s mid-migration.
+  /// runtime by /v1/admin/migrate. While the topology is TRANSITIONING the
+  /// server accepts the old digest AND the new one, and fingerprints in the
+  /// old range AND (when it stays in the fleet) the new one, so no
+  /// correctly double-routed request 421s mid-migration.
   struct ShardState {
-    explicit ShardState(service::ShardMap m) : map(std::move(m)) {}
-
-    service::ShardMap map;
+    service::Topology topology;
+    /// This server's range under the current map.
     int index = 0;
-    service::FingerprintRange range;
-    std::string digest_hex;
-
-    std::optional<service::ShardMap> new_map;
-    /// This server's range under new_map; -1 = leaving the fleet (it
-    /// donates everything and serves only its old range until shut down).
+    /// Its range under the incoming map; -1 = leaving the fleet (it donates
+    /// everything and serves only its old range until shut down).
     int new_index = -1;
-    service::FingerprintRange new_range;  ///< valid iff new_index >= 0
-    std::string new_digest_hex;
 
-    bool transitioning() const { return new_map.has_value(); }
+    bool transitioning() const { return topology.transitioning(); }
+    service::FingerprintRange range() const {
+      return topology.current().RangeFor(index);
+    }
   };
 
   /// Builds the service (validated), restores the snapshot when configured,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <optional>
 
 namespace htd::net {
 
@@ -52,6 +53,69 @@ void ParseTarget(const std::string& target, std::string* path,
         eq == std::string_view::npos ? "" : UrlDecode(pair.substr(eq + 1));
     (*query)[key] = value;
   }
+}
+
+/// The head framing both parsers share: resumes the scan of `buffer` for
+/// the blank line that ends the head at `*scan` (backing up 3 bytes so a
+/// terminator straddling two chunks is seen, which keeps byte-at-a-time
+/// delivery O(total)). kTooLarge once the head exceeds `max_head_bytes`,
+/// terminated or not, so the verdict does not depend on the chunking; on
+/// kHead, the head is the first `*head_end` bytes, followed by a terminator
+/// of `*terminator` bytes.
+enum class HeadScan { kNeedMore, kHead, kTooLarge };
+HeadScan ScanHead(const std::string& buffer, size_t max_head_bytes,
+                  size_t* scan, size_t* head_end, size_t* terminator) {
+  const size_t from = *scan > 3 ? *scan - 3 : 0;
+  *scan = buffer.size();
+  *head_end = buffer.find("\r\n\r\n", from);
+  *terminator = 4;
+  if (*head_end == std::string::npos) {
+    *head_end = buffer.find("\n\n", from);
+    *terminator = 2;
+  }
+  if (*head_end == std::string::npos) {
+    return buffer.size() > max_head_bytes ? HeadScan::kTooLarge
+                                          : HeadScan::kNeedMore;
+  }
+  return *head_end > max_head_bytes ? HeadScan::kTooLarge : HeadScan::kHead;
+}
+
+/// The head's first line (request or status line), trimmed.
+std::string_view FirstLine(std::string_view head) {
+  return Trim(head.substr(0, head.find('\n')));
+}
+
+/// The header fields after the head's first line, into `headers` (keys
+/// lower-cased, values trimmed). False on a line without a colon.
+bool ParseHeaderFields(std::string_view head,
+                       std::map<std::string, std::string>* headers) {
+  size_t line_end = head.find('\n');
+  while (line_end != std::string_view::npos) {
+    const size_t start = line_end + 1;
+    line_end = head.find('\n', start);
+    const std::string_view line = Trim(head.substr(
+        start, line_end == std::string_view::npos ? head.size() - start
+                                                  : line_end - start));
+    if (line.empty()) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string_view::npos) return false;
+    (*headers)[ToLower(Trim(line.substr(0, colon)))] =
+        std::string(Trim(line.substr(colon + 1)));
+  }
+  return true;
+}
+
+/// The Content-Length header into `*length` (left unset when absent).
+/// False when it is not a plain decimal number.
+bool ParseContentLength(const std::map<std::string, std::string>& headers,
+                        std::optional<unsigned long long>* length) {
+  auto it = headers.find("content-length");
+  if (it == headers.end()) return true;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(it->second.c_str(), &end, 10);
+  if (end == it->second.c_str() || *end != '\0') return false;
+  *length = parsed;
+  return true;
 }
 
 }  // namespace
@@ -172,10 +236,7 @@ HttpRequestParser::State HttpRequestParser::Fail(int status, std::string message
 
 bool HttpRequestParser::ParseHead(std::string_view head) {
   // Request line: METHOD SP target SP HTTP/1.x
-  size_t line_end = head.find('\n');
-  std::string_view request_line =
-      Trim(head.substr(0, line_end == std::string_view::npos ? head.size()
-                                                             : line_end));
+  const std::string_view request_line = FirstLine(head);
   size_t sp1 = request_line.find(' ');
   size_t sp2 = request_line.rfind(' ');
   if (sp1 == std::string_view::npos || sp2 == sp1) {
@@ -197,83 +258,41 @@ bool HttpRequestParser::ParseHead(std::string_view head) {
   }
   ParseTarget(request_.target, &request_.path, &request_.query);
 
-  // Header fields.
-  while (line_end != std::string_view::npos) {
-    size_t start = line_end + 1;
-    line_end = head.find('\n', start);
-    std::string_view line = head.substr(
-        start, line_end == std::string_view::npos ? head.size() - start
-                                                  : line_end - start);
-    line = Trim(line);
-    if (line.empty()) continue;
-    size_t colon = line.find(':');
-    if (colon == std::string_view::npos) {
-      Fail(400, "malformed header line");
-      return false;
-    }
-    std::string key = ToLower(Trim(line.substr(0, colon)));
-    request_.headers[key] = std::string(Trim(line.substr(colon + 1)));
+  if (!ParseHeaderFields(head, &request_.headers)) {
+    Fail(400, "malformed header line");
+    return false;
   }
-
   if (request_.headers.count("transfer-encoding") != 0) {
     Fail(501, "transfer-encoding not supported; send Content-Length");
     return false;
   }
-  body_expected_ = 0;
-  auto it = request_.headers.find("content-length");
-  if (it != request_.headers.end()) {
-    char* end = nullptr;
-    unsigned long long parsed = std::strtoull(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0') {
-      Fail(400, "malformed Content-Length");
-      return false;
-    }
-    if (parsed > limits_.max_body_bytes) {
-      Fail(413, "body exceeds limit of " +
-                    std::to_string(limits_.max_body_bytes) + " bytes");
-      return false;
-    }
-    body_expected_ = static_cast<size_t>(parsed);
+  std::optional<unsigned long long> length;
+  if (!ParseContentLength(request_.headers, &length)) {
+    Fail(400, "malformed Content-Length");
+    return false;
   }
+  if (length.value_or(0) > limits_.max_body_bytes) {
+    Fail(413, "body exceeds limit of " +
+                  std::to_string(limits_.max_body_bytes) + " bytes");
+    return false;
+  }
+  body_expected_ = static_cast<size_t>(length.value_or(0));
   return true;
 }
 
 HttpRequestParser::State HttpRequestParser::Consume(std::string_view bytes) {
   if (state_ != State::kNeedMore) return state_;
   buffer_.append(bytes.data(), bytes.size());
-
   if (!head_done_) {
-    // Resume the terminator scan where the previous chunk left off (backing
-    // up 3 bytes so a terminator straddling the chunk boundary is seen) —
-    // byte-at-a-time delivery stays O(total bytes).
-    size_t from = head_scan_ > 3 ? head_scan_ - 3 : 0;
-    size_t head_end = buffer_.find("\r\n\r\n", from);
-    size_t head_len = 4;
-    if (head_end == std::string::npos) {
-      head_end = buffer_.find("\n\n", from);
-      head_len = 2;
-    }
-    if (head_end == std::string::npos) {
-      head_scan_ = buffer_.size();
-      if (buffer_.size() > limits_.max_head_bytes) {
-        return Fail(413, "request head exceeds limit");
-      }
-      return State::kNeedMore;
-    }
-    if (head_end > limits_.max_head_bytes) {
-      // Enforced on FOUND terminators too, not only unterminated buffers —
-      // otherwise the verdict would depend on how the bytes were chunked
-      // (a one-shot read of an oversized head would sneak past the limit
-      // that byte-at-a-time delivery trips).
-      return Fail(413, "request head exceeds limit");
-    }
-    if (!ParseHead(std::string_view(buffer_).substr(0, head_end))) {
-      return state_;
-    }
-    buffer_.erase(0, head_end + head_len);
+    size_t head_end, terminator;
+    const HeadScan scan = ScanHead(buffer_, limits_.max_head_bytes, &head_scan_,
+                                   &head_end, &terminator);
+    if (scan == HeadScan::kNeedMore) return State::kNeedMore;
+    if (scan == HeadScan::kTooLarge) return Fail(413, "request head exceeds limit");
+    if (!ParseHead(std::string_view(buffer_).substr(0, head_end))) return state_;
+    buffer_.erase(0, head_end + terminator);
     head_done_ = true;
   }
-
   if (buffer_.size() < body_expected_) return State::kNeedMore;
   request_.body = buffer_.substr(0, body_expected_);
   buffer_.erase(0, body_expected_);
@@ -298,10 +317,7 @@ HttpResponseParser::State HttpResponseParser::Fail(std::string message) {
 }
 
 bool HttpResponseParser::ParseHead(std::string_view head) {
-  size_t line_end = head.find('\n');
-  std::string_view status_line =
-      Trim(head.substr(0, line_end == std::string_view::npos ? head.size()
-                                                             : line_end));
+  const std::string_view status_line = FirstLine(head);
   if (status_line.substr(0, 5) != "HTTP/") {
     Fail("malformed status line");
     return false;
@@ -316,66 +332,37 @@ bool HttpResponseParser::ParseHead(std::string_view head) {
     Fail("implausible status code");
     return false;
   }
-
-  while (line_end != std::string_view::npos) {
-    size_t start = line_end + 1;
-    line_end = head.find('\n', start);
-    std::string_view line = head.substr(
-        start, line_end == std::string_view::npos ? head.size() - start
-                                                  : line_end - start);
-    line = Trim(line);
-    if (line.empty()) continue;
-    size_t colon = line.find(':');
-    if (colon == std::string_view::npos) {
-      Fail("malformed header line");
-      return false;
-    }
-    headers_[ToLower(Trim(line.substr(0, colon)))] =
-        std::string(Trim(line.substr(colon + 1)));
+  if (!ParseHeaderFields(head, &headers_)) {
+    Fail("malformed header line");
+    return false;
   }
-
-  auto it = headers_.find("content-length");
-  if (it != headers_.end()) {
-    char* end = nullptr;
-    unsigned long long parsed = std::strtoull(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0') {
-      Fail("malformed Content-Length");
-      return false;
-    }
-    have_length_ = true;
-    body_expected_ = static_cast<size_t>(parsed);
+  std::optional<unsigned long long> length;
+  if (!ParseContentLength(headers_, &length)) {
+    Fail("malformed Content-Length");
+    return false;
   }
+  have_length_ = length.has_value();
+  body_expected_ = static_cast<size_t>(length.value_or(0));
   return true;
 }
 
 HttpResponseParser::State HttpResponseParser::Consume(std::string_view bytes) {
   if (state_ != State::kNeedMore) return state_;
   buffer_.append(bytes.data(), bytes.size());
-
   if (!head_done_) {
-    size_t from = head_scan_ > 3 ? head_scan_ - 3 : 0;
-    size_t head_end = buffer_.find("\r\n\r\n", from);
-    size_t head_len = 4;
-    if (head_end == std::string::npos) {
-      head_end = buffer_.find("\n\n", from);
-      head_len = 2;
-    }
-    if (head_end == std::string::npos) {
-      head_scan_ = buffer_.size();
-      return State::kNeedMore;
-    }
-    if (!ParseHead(std::string_view(buffer_).substr(0, head_end))) {
-      return state_;
-    }
-    buffer_.erase(0, head_end + head_len);
+    size_t head_end, terminator;
+    const HeadScan scan =
+        ScanHead(buffer_, kMaxHeadBytes, &head_scan_, &head_end, &terminator);
+    if (scan == HeadScan::kNeedMore) return State::kNeedMore;
+    if (scan == HeadScan::kTooLarge) return Fail("response head exceeds limit");
+    if (!ParseHead(std::string_view(buffer_).substr(0, head_end))) return state_;
+    buffer_.erase(0, head_end + terminator);
     head_done_ = true;
   }
-
   // A Content-Length body completes the moment the promised bytes are in
   // (bytes beyond it are ignored — one exchange per parser); a length-less
   // body is framed by connection close and completes in Finish().
-  if (!have_length_) return State::kNeedMore;
-  if (buffer_.size() < body_expected_) return State::kNeedMore;
+  if (!have_length_ || buffer_.size() < body_expected_) return State::kNeedMore;
   body_ = buffer_.substr(0, body_expected_);
   buffer_.clear();
   state_ = State::kDone;

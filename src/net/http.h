@@ -58,6 +58,11 @@ std::string_view StatusReason(int status);
 std::string SerializeResponse(const HttpResponse& response,
                               std::string_view connection);
 
+/// Head bound of both parsers: a request head past it is refused with 413,
+/// a response head past it is a parse error — either way a peer cannot grow
+/// the buffer by never ending its head.
+inline constexpr size_t kMaxHeadBytes = 64 * 1024;
+
 /// Percent-decodes %XX escapes and '+' (as space). Invalid escapes are kept
 /// verbatim rather than rejected — query strings are operator input here.
 std::string UrlDecode(std::string_view text);
@@ -71,7 +76,7 @@ class HttpRequestParser {
   enum class State { kNeedMore, kDone, kError };
 
   struct Limits {
-    size_t max_head_bytes = 64 * 1024;
+    size_t max_head_bytes = kMaxHeadBytes;
     size_t max_body_bytes = 64 * 1024 * 1024;
   };
 
@@ -126,7 +131,9 @@ class HttpRequestParser {
 /// carrying Content-Length completes as soon as that many body bytes arrive
 /// — the caller need not wait for the server to close the connection.
 /// Responses without Content-Length are framed by connection close: call
-/// Finish() at orderly EOF to terminate the body.
+/// Finish() at orderly EOF to terminate the body. The head is bounded by
+/// kMaxHeadBytes; the body only by its Content-Length (an export blob may
+/// exceed any request body limit).
 class HttpResponseParser {
  public:
   enum class State { kNeedMore, kDone, kError };

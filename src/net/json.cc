@@ -5,6 +5,13 @@
 
 namespace htd::net {
 
+namespace {
+
+/// Seconds every shedding refusal asks the client to wait.
+constexpr int kRetryAfterSeconds = 1;
+
+}  // namespace
+
 std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
@@ -95,6 +102,12 @@ HttpResponse JsonErrorResponse(int status, const std::string& message) {
   JsonWriter json;
   json.Object().Field("error", message);
   return JsonResponse(json, status);
+}
+
+HttpResponse RetryLaterResponse(int status, const std::string& message) {
+  HttpResponse response = JsonErrorResponse(status, message);
+  response.headers.emplace_back("Retry-After", std::to_string(kRetryAfterSeconds));
+  return response;
 }
 
 const char* RouteLabel(const std::string& path) {

@@ -74,6 +74,9 @@ HttpResponse JsonResponse(JsonWriter& json, int status = 200);
 
 /// The canonical error body: {"error": "<message>"} with the given status.
 HttpResponse JsonErrorResponse(int status, const std::string& message);
+/// JsonErrorResponse plus the one Retry-After every shedding refusal
+/// carries: the backend's 429, the transport's and the router's 503s.
+HttpResponse RetryLaterResponse(int status, const std::string& message);
 
 /// `handler()` when `request` uses `method`, else the canonical 405
 /// ("use <method> for <path>").

@@ -2,7 +2,8 @@
 // as both front-ends see them: how the body parses, which fingerprint names
 // its owning shard, and the words of the refusals. The shard router parses
 // a body to pick its shard and the backend parses it again to admit it, so
-// both sides of a hop refuse a bad body with the same text.
+// both sides of a hop refuse a bad body with the same text. The same holds
+// for the shard map spec that begins a live reshard.
 #pragma once
 
 #include <string>
@@ -11,6 +12,7 @@
 #include "hypergraph/parser.h"
 #include "qa/wire.h"
 #include "service/canonical.h"
+#include "service/shard_map.h"
 #include "util/status.h"
 
 namespace htd::net {
@@ -39,5 +41,26 @@ inline const BodyRoute<qa::QueryRequest> kQueryRoute{
     [](const qa::QueryRequest& request) {
       return service::CanonicalFingerprint(cq::QueryHypergraph(request.query));
     }};
+
+/// The body of the two routes that begin a live reshard, the router's
+/// POST /v1/admin/transition and the backend's POST /v1/admin/migrate: a
+/// shard map spec, trailing CR/LF ignored. InvalidArgument (answered 400)
+/// for an empty or unparsable body.
+inline util::StatusOr<service::ShardMap> ParseMapSpecBody(std::string spec) {
+  if (spec.empty()) {
+    return util::Status::InvalidArgument(
+        "empty body: expected the new shard map spec "
+        "(host:port,host:port*2,...)");
+  }
+  while (!spec.empty() && (spec.back() == '\n' || spec.back() == '\r')) {
+    spec.pop_back();
+  }
+  auto map = service::ShardMap::Parse(spec);
+  if (!map.ok()) {
+    return util::Status::InvalidArgument("cannot parse new shard map: " +
+                                         map.status().message());
+  }
+  return map;
+}
 
 }  // namespace htd::net

@@ -637,10 +637,8 @@ void HttpServer::AcceptLoop() {
     if (live_connections_.load(std::memory_order_relaxed) >=
         options_.max_connections) {
       connections_shed_.fetch_add(1, std::memory_order_relaxed);
-      HttpResponse response = JsonErrorResponse(
-          503, "server at connection capacity; retry later");
-      response.headers.emplace_back(
-          "Retry-After", std::to_string(options_.retry_after_seconds));
+      HttpResponse response =
+          RetryLaterResponse(503, "server at connection capacity; retry later");
       util::SetSendTimeout(outcome.socket.fd(), 1.0);
       util::SendAll(outcome.socket.fd(), SerializeResponse(response, "close"));
       continue;  // socket destructor closes it

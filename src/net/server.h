@@ -72,8 +72,6 @@ class HttpServer {
     /// transport-level half of load shedding — independent of io_threads
     /// since the epoll core stopped pinning a thread per connection.
     int max_connections = 64;
-    /// Retry-After value on connection-level 503s.
-    int retry_after_seconds = 1;
     /// Keep-alive connections idle (no request bytes) longer than this are
     /// closed.
     double idle_timeout_seconds = 30.0;

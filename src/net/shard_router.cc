@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <cstdlib>
+#include <functional>
 #include <set>
 
 #include "net/http_client.h"
@@ -41,109 +42,60 @@ void PrefixJobId(HttpResponse* response, int shard, int replica) {
 }  // namespace
 
 ShardRouter::ShardRouter(ShardRouterOptions options)
-    : options_(std::move(options)) {
-  auto maps = std::make_shared<Maps>(options_.map);
-  maps->digest_hex = maps->map.DigestHex();
-  maps_ = std::move(maps);
+    : options_(std::move(options)),
+      topology_(std::make_shared<const service::Topology>(options_.map)) {
   metrics_.SetHelp("htd_router_request_seconds",
                    "Router HTTP request latency by route (includes the "
                    "forwarded exchange).");
 }
 
-std::shared_ptr<const ShardRouter::Maps> ShardRouter::maps() const {
-  std::lock_guard<std::mutex> lock(maps_mutex_);
-  return maps_;
+std::shared_ptr<const service::Topology> ShardRouter::topology() const {
+  std::lock_guard<std::mutex> lock(topology_mutex_);
+  return topology_;
 }
 
 bool ShardRouter::transitioning() const {
-  return maps()->new_map.has_value();
+  return topology()->transitioning();
 }
 
-service::ShardMap ShardRouter::current_map() const { return maps()->map; }
+template <typename Step>
+util::Status ShardRouter::Transition(const Step& step) {
+  std::lock_guard<std::mutex> lock(topology_mutex_);
+  util::StatusOr<service::Topology> next = step(*topology_);
+  if (!next.ok()) return next.status();
+  topology_ = std::make_shared<const service::Topology>(std::move(next).value());
+  return util::Status::Ok();
+}
 
 util::Status ShardRouter::BeginTransition(const service::ShardMap& new_map) {
-  std::lock_guard<std::mutex> lock(maps_mutex_);
-  if (new_map.DigestHex() == maps_->digest_hex) {
-    return util::Status::InvalidArgument(
-        "new map equals the current map (digest " + maps_->digest_hex +
-        "); nothing to transition to");
-  }
-  if (maps_->new_map.has_value()) {
-    if (maps_->new_digest_hex == new_map.DigestHex()) {
-      return util::Status::Ok();  // idempotent re-announce
-    }
-    return util::Status::FailedPrecondition(
-        "a different transition is already in flight (to digest " +
-        maps_->new_digest_hex + "); complete or abort it first");
-  }
-  auto next = std::make_shared<Maps>(*maps_);
-  next->new_map = new_map;
-  next->new_digest_hex = new_map.DigestHex();
-  maps_ = std::move(next);
-  return util::Status::Ok();
+  return Transition(
+      [&](const service::Topology& topology) { return topology.Begin(new_map); });
 }
 
 util::Status ShardRouter::CompleteTransition() {
-  std::lock_guard<std::mutex> lock(maps_mutex_);
-  if (!maps_->new_map.has_value()) {
-    return util::Status::FailedPrecondition("no transition in flight");
-  }
-  auto next = std::make_shared<Maps>(*maps_->new_map);
-  next->digest_hex = maps_->new_digest_hex;
-  // Retire the old map into the job-polling history (see Maps::prev_map).
-  next->prev_map = maps_->map;
-  next->prev_digest_hex = maps_->digest_hex;
-  maps_ = std::move(next);
-  return util::Status::Ok();
+  return Transition(std::mem_fn(&service::Topology::Complete));
 }
 
 util::Status ShardRouter::AbortTransition() {
-  std::lock_guard<std::mutex> lock(maps_mutex_);
-  if (!maps_->new_map.has_value()) {
-    return util::Status::FailedPrecondition("no transition in flight");
-  }
-  auto next = std::make_shared<Maps>(maps_->map);
-  next->digest_hex = maps_->digest_hex;
-  next->prev_map = maps_->prev_map;
-  next->prev_digest_hex = maps_->prev_digest_hex;
-  maps_ = std::move(next);
-  return util::Status::Ok();
+  return Transition(std::mem_fn(&service::Topology::Abort));
 }
 
 std::vector<ShardRouter::AddressedEndpoint> ShardRouter::AddressedEndpoints(
-    const Maps& maps) {
+    const service::Topology& topology) {
   std::vector<AddressedEndpoint> out;
   std::set<std::string> seen;
-  for (int index = 0; index < maps.map.num_shards(); ++index) {
-    for (int r = 0; r < maps.map.num_replicas(index); ++r) {
-      AddressedEndpoint target;
-      target.endpoint = maps.map.replica(index, r);
-      target.range = index;
-      target.replica = r;
-      target.digest_hex = maps.digest_hex;
-      seen.insert(HealthKey(target.endpoint));
-      out.push_back(std::move(target));
-    }
-  }
-  if (maps.new_map.has_value()) {
-    for (int index = 0; index < maps.new_map->num_shards(); ++index) {
-      for (int r = 0; r < maps.new_map->num_replicas(index); ++r) {
-        AddressedEndpoint target;
-        target.endpoint = maps.new_map->replica(index, r);
-        if (!seen.insert(HealthKey(target.endpoint)).second) continue;
-        target.range = index;
-        target.replica = r;
-        target.new_map_only = true;
-        target.digest_hex = maps.new_digest_hex;
-        out.push_back(std::move(target));
-      }
+  for (const service::ShardMap* map : {&topology.current(), topology.incoming()}) {
+    if (map == nullptr) continue;
+    for (service::ShardMap::Member& member : map->Members()) {
+      if (!seen.insert(HealthKey(member.endpoint)).second) continue;
+      out.push_back({std::move(member), map, map != &topology.current()});
     }
   }
   return out;
 }
 
 std::vector<ShardRouter::ShardStats> ShardRouter::shard_stats() const {
-  return StatsForTargets(AddressedEndpoints(*maps()));
+  return StatsForTargets(AddressedEndpoints(*topology()));
 }
 
 std::vector<ShardRouter::ShardStats> ShardRouter::StatsForTargets(
@@ -154,12 +106,12 @@ std::vector<ShardRouter::ShardStats> ShardRouter::StatsForTargets(
   std::lock_guard<std::mutex> lock(health_mutex_);
   for (const AddressedEndpoint& target : targets) {
     ShardStats stats;
-    stats.host = target.endpoint.host;
-    stats.port = target.endpoint.port;
-    stats.range = target.range;
-    stats.replica = target.replica;
+    stats.host = target.member.endpoint.host;
+    stats.port = target.member.endpoint.port;
+    stats.range = target.member.range;
+    stats.replica = target.member.replica;
     stats.new_map_only = target.new_map_only;
-    auto it = health_.find(HealthKey(target.endpoint));
+    auto it = health_.find(HealthKey(target.member.endpoint));
     if (it != health_.end()) {
       stats.forwarded = it->second.forwarded;
       stats.transport_errors = it->second.transport_errors;
@@ -211,12 +163,9 @@ HttpResponse ShardRouter::ForwardToEndpoint(
   const std::string key = HealthKey(endpoint);
   *transport_failed = true;
   if (InBackoff(key)) {
-    HttpResponse response = JsonErrorResponse(
+    return RetryLaterResponse(
         503, "endpoint " + key +
                  " is backing off after transport failures; retry later");
-    response.headers.emplace_back("Retry-After",
-                                  std::to_string(options_.retry_after_seconds));
-    return response;
   }
   {
     std::lock_guard<std::mutex> lock(health_mutex_);
@@ -243,13 +192,9 @@ HttpResponse ShardRouter::ForwardToEndpoint(
   if (!result.ok()) {
     RecordFailure(key);
     switch (result.transport) {
-      case FetchResult::Transport::kConnectFailed: {
-        HttpResponse response = JsonErrorResponse(
+      case FetchResult::Transport::kConnectFailed:
+        return RetryLaterResponse(
             503, "endpoint " + key + " unreachable: " + result.error);
-        response.headers.emplace_back(
-            "Retry-After", std::to_string(options_.retry_after_seconds));
-        return response;
-      }
       case FetchResult::Transport::kRecvTimeout:
         return JsonErrorResponse(504, "endpoint " + key + " response timed out");
       case FetchResult::Transport::kParseFailed:
@@ -291,8 +236,8 @@ HttpResponse ShardRouter::ForwardToEndpoint(
 }
 
 HttpResponse ShardRouter::ForwardToRange(
-    const service::ShardMap& map, int index, const std::string& digest_hex,
-    const std::string& method, const std::string& target,
+    const service::ShardMap& map, int index, const std::string& method,
+    const std::string& target,
     const std::string& body, const std::string& fingerprint_hex,
     const std::string& request_id_hex, double read_timeout_seconds,
     util::TraceParent trace, int* served_replica) {
@@ -315,7 +260,7 @@ HttpResponse ShardRouter::ForwardToRange(
         "forward", trace,
         (static_cast<uint64_t>(index) << 8) | static_cast<uint64_t>(r));
     HttpResponse response =
-        ForwardToEndpoint(map.replica(index, r), digest_hex, method, target,
+        ForwardToEndpoint(map.replica(index, r), map.DigestHex(), method, target,
                           body, fingerprint_hex, request_id_hex,
                           read_timeout_seconds, &transport_failed);
     if (!transport_failed) {
@@ -326,12 +271,9 @@ HttpResponse ShardRouter::ForwardToRange(
     answered = true;
   }
   if (answered) return last;  // every replica down/backing off: best error
-  HttpResponse response = JsonErrorResponse(
-      503, "every replica of shard " + std::to_string(index) +
-               " is backing off; retry later");
-  response.headers.emplace_back("Retry-After",
-                                std::to_string(options_.retry_after_seconds));
-  return response;
+  return RetryLaterResponse(503, "every replica of shard " +
+                                     std::to_string(index) +
+                                     " is backing off; retry later");
 }
 
 std::vector<HttpResponse> ShardRouter::ForwardAll(
@@ -353,10 +295,10 @@ std::vector<HttpResponse> ShardRouter::ForwardAll(
     workers.emplace_back([&] {
       for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
         bool transport_failed = false;
+        const AddressedEndpoint& addressed = targets[static_cast<size_t>(i)];
         responses[static_cast<size_t>(i)] = ForwardToEndpoint(
-            targets[static_cast<size_t>(i)].endpoint,
-            targets[static_cast<size_t>(i)].digest_hex, method, target, "", "",
-            "", read_timeout_seconds, &transport_failed);
+            addressed.member.endpoint, addressed.map->DigestHex(), method,
+            target, "", "", "", read_timeout_seconds, &transport_failed);
       }
     });
   }
@@ -381,7 +323,7 @@ HttpResponse ShardRouter::Dispatch(const HttpRequest& request) {
              "(is a router listed in its own --route-to map?)");
   }
   if (request.path == "/healthz") {
-    auto snapshot = maps();
+    auto snapshot = topology();
     auto stats = StatsForTargets(AddressedEndpoints(*snapshot));
     int backing_off = 0;
     for (const ShardStats& endpoint : stats) {
@@ -391,10 +333,10 @@ HttpResponse ShardRouter::Dispatch(const HttpRequest& request) {
     json.Object()
         .Field("ok", true)
         .Field("role", "router")
-        .Field("shards", snapshot->map.num_shards())
+        .Field("shards", snapshot->current().num_shards())
         .Field("endpoints", stats.size())
         .Field("backing_off", backing_off)
-        .Field("transitioning", snapshot->new_map.has_value());
+        .Field("transitioning", snapshot->transitioning());
     return JsonResponse(json);
   }
   if (request.path == "/v1/decompose") {
@@ -446,7 +388,8 @@ HttpResponse ShardRouter::HandleRouted(const HttpRequest& request,
 
 HttpResponse ShardRouter::RouteByFingerprint(const HttpRequest& request,
                                              const service::Fingerprint& fp) {
-  auto snapshot = maps();
+  auto snapshot = topology();
+  const service::ShardMap& map = snapshot->current();
 
   const bool async = request.QueryOr("async", "0") == "1";
   double read_timeout = options_.read_timeout_seconds;
@@ -471,15 +414,16 @@ HttpResponse ShardRouter::RouteByFingerprint(const HttpRequest& request,
   // Current owner first: during a live reshard the donor still holds the
   // warm entry, so routing by the old map preserves every cache hit until
   // the fleet flips.
-  const int owner = snapshot->map.IndexFor(fp);
+  const int owner = map.IndexFor(fp);
   root_span.set_tag(static_cast<uint64_t>(owner));
   int served_replica = 0;
   HttpResponse response =
-      ForwardToRange(snapshot->map, owner, snapshot->digest_hex, request.method,
-                     request.target, request.body, fp.ToHex(), request_id_hex,
-                     read_timeout, forward_trace, &served_replica);
+      ForwardToRange(map, owner, request.method, request.target, request.body,
+                     fp.ToHex(), request_id_hex, read_timeout, forward_trace,
+                     &served_replica);
   int served_by = owner;
-  if (snapshot->new_map.has_value() &&
+  const service::ShardMap* new_map = snapshot->incoming();
+  if (new_map != nullptr &&
       (response.status == 421 || response.status == 502 ||
        response.status == 503 || response.status == 504)) {
     // Double-route: the old owner already finalised onto the new map (421)
@@ -490,17 +434,14 @@ HttpResponse ShardRouter::RouteByFingerprint(const HttpRequest& request,
     // would double the load on an endpoint that just asked us to back off.
     // A 421 still retries: it means "wrong digest", and the new digest is
     // exactly the cure.
-    const int new_owner = snapshot->new_map->IndexFor(fp);
-    std::set<std::string> old_keys, new_keys;
-    for (int r = 0; r < snapshot->map.num_replicas(owner); ++r) {
-      old_keys.insert(HealthKey(snapshot->map.replica(owner, r)));
-    }
-    for (int r = 0; r < snapshot->new_map->num_replicas(new_owner); ++r) {
-      new_keys.insert(HealthKey(snapshot->new_map->replica(new_owner, r)));
-    }
-    if (response.status == 421 || new_keys != old_keys) {
-      response = ForwardToRange(*snapshot->new_map, new_owner,
-                                snapshot->new_digest_hex, request.method,
+    const int new_owner = new_map->IndexFor(fp);
+    const std::vector<service::ShardEndpoint>& old_group = map.replicas(owner);
+    const std::vector<service::ShardEndpoint>& new_group =
+        new_map->replicas(new_owner);
+    if (response.status == 421 ||
+        !std::is_permutation(old_group.begin(), old_group.end(),
+                             new_group.begin(), new_group.end())) {
+      response = ForwardToRange(*new_map, new_owner, request.method,
                                 request.target, request.body, fp.ToHex(),
                                 request_id_hex, read_timeout, forward_trace,
                                 &served_replica);
@@ -549,40 +490,33 @@ HttpResponse ShardRouter::HandleJob(const HttpRequest& request) {
                 util::ParseIntFlag(view.substr(shard_end + 1, dot - shard_end - 1),
                                    0, INT_MAX, &replica);
   }
-  auto snapshot = maps();
   // The job lives on whichever replica admitted it, under whichever map
   // minted the id: the current map, the incoming one mid-transition, or —
   // for a job admitted just before a flip — the map the last transition
   // retired. Poll every candidate until one recognises the id.
-  std::vector<std::pair<const service::ShardMap*, const std::string*>>
-      generations;
-  generations.emplace_back(&snapshot->map, &snapshot->digest_hex);
-  if (snapshot->new_map.has_value()) {
-    generations.emplace_back(&*snapshot->new_map, &snapshot->new_digest_hex);
-  }
-  if (snapshot->prev_map.has_value()) {
-    generations.emplace_back(&*snapshot->prev_map, &snapshot->prev_digest_hex);
-  }
-  bool in_some_map = false;
-  for (const auto& [map, digest] : generations) {
-    in_some_map = in_some_map || shard < map->num_shards();
-  }
+  auto snapshot = topology();
+  const std::vector<const service::ShardMap*> generations =
+      snapshot->Generations();
+  const bool in_some_map =
+      std::any_of(generations.begin(), generations.end(),
+                  [&](const service::ShardMap* map) {
+                    return shard < map->num_shards();
+                  });
   if (!prefix_ok || shard < 0 || !in_some_map) {
     return JsonErrorResponse(404, "unknown job id: " + id +
                                       " (no such shard in the map)");
   }
   const std::string remote_id = id.substr(dot + 1);
 
-  std::vector<std::pair<service::ShardEndpoint, std::string>> candidates;
+  std::vector<std::pair<service::ShardEndpoint, const std::string*>> candidates;
   std::set<std::string> seen;
-  for (const auto& [map, digest] : generations) {
-    if (shard >= map->num_shards()) continue;
-    for (int r = 0; r < map->num_replicas(static_cast<int>(shard)); ++r) {
-      if (replica >= 0 && r != replica) continue;
-      const service::ShardEndpoint& endpoint =
-          map->replica(static_cast<int>(shard), r);
-      if (seen.insert(HealthKey(endpoint)).second) {
-        candidates.emplace_back(endpoint, *digest);
+  for (const service::ShardMap* map : generations) {
+    for (const service::ShardMap::Member& member : map->Members()) {
+      if (member.range != shard || (replica >= 0 && member.replica != replica)) {
+        continue;
+      }
+      if (seen.insert(HealthKey(member.endpoint)).second) {
+        candidates.emplace_back(member.endpoint, &map->DigestHex());
       }
     }
   }
@@ -591,7 +525,7 @@ HttpResponse ShardRouter::HandleJob(const HttpRequest& request) {
   for (const auto& [endpoint, digest_hex] : candidates) {
     bool transport_failed = false;
     HttpResponse response = ForwardToEndpoint(
-        endpoint, digest_hex, "GET", "/v1/jobs/" + remote_id, "", "", "",
+        endpoint, *digest_hex, "GET", "/v1/jobs/" + remote_id, "", "", "",
         options_.read_timeout_seconds, &transport_failed);
     if (!transport_failed && response.status != 404) {
       if (response.status == 200) {
@@ -606,9 +540,10 @@ HttpResponse ShardRouter::HandleJob(const HttpRequest& request) {
   return last;
 }
 
-ShardRouter::FleetScrape ShardRouter::ScrapeFleet(const Maps& maps) {
+ShardRouter::FleetScrape ShardRouter::ScrapeFleet() {
   FleetScrape scrape;
-  scrape.targets = AddressedEndpoints(maps);
+  scrape.topology = topology();
+  scrape.targets = AddressedEndpoints(*scrape.topology);
   // Full read timeout, not the connect timeout: a backend whose IO threads
   // are pinned by long solves answers slowly, and timing it out here would
   // RecordFailure a healthy endpoint into backoff — shedding live decompose
@@ -664,30 +599,30 @@ ShardRouter::FleetScrape ShardRouter::ScrapeFleet(const Maps& maps) {
 }
 
 HttpResponse ShardRouter::HandleStats() {
-  auto snapshot = maps();
-  FleetScrape scrape = ScrapeFleet(*snapshot);
+  FleetScrape scrape = ScrapeFleet();
+  const service::Topology& snapshot = *scrape.topology;
   // Health rows for the SAME target list the fan-out used: re-enumerating
   // endpoints here could race a transition and misattribute counters.
   auto health = StatsForTargets(scrape.targets);
   JsonWriter json;
   json.Object()
       .Field("role", "router")
-      .Field("shard_count", snapshot->map.num_shards())
+      .Field("shard_count", snapshot.current().num_shards())
       .Field("endpoint_count", scrape.targets.size())
       .Field("reachable", scrape.scraped)
-      .Field("map_digest", snapshot->digest_hex)
-      .Field("transitioning", snapshot->new_map.has_value());
-  if (snapshot->new_map.has_value()) {
-    json.Field("new_map_digest", snapshot->new_digest_hex);
+      .Field("map_digest", snapshot.current().DigestHex())
+      .Field("transitioning", snapshot.transitioning());
+  if (snapshot.transitioning()) {
+    json.Field("new_map_digest", snapshot.incoming()->DigestHex());
   }
   json.Raw("metrics", RenderMetricsJson(scrape.families)).Array("shards");
   for (size_t i = 0; i < scrape.targets.size(); ++i) {
     const AddressedEndpoint& target = scrape.targets[i];
     const int status = scrape.responses[i].status;
     json.Object()
-        .Field("index", target.range)
-        .Field("replica", target.replica)
-        .Field("endpoint", HealthKey(target.endpoint));
+        .Field("index", target.member.range)
+        .Field("replica", target.member.replica)
+        .Field("endpoint", HealthKey(target.member.endpoint));
     if (target.new_map_only) json.Field("new_map_only", true);
     json.Field("forwarded", health[i].forwarded)
         .Field("transport_errors", health[i].transport_errors)
@@ -700,7 +635,7 @@ HttpResponse ShardRouter::HandleStats() {
 }
 
 HttpResponse ShardRouter::HandleMetrics() {
-  FleetScrape scrape = ScrapeFleet(*maps());
+  FleetScrape scrape = ScrapeFleet();
   HttpResponse response;
   // Prometheus text exposition format 0.0.4.
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -710,7 +645,7 @@ HttpResponse ShardRouter::HandleMetrics() {
 }
 
 HttpResponse ShardRouter::HandleSnapshot() {
-  auto snapshot = maps();
+  auto snapshot = topology();
   std::vector<AddressedEndpoint> targets = AddressedEndpoints(*snapshot);
   std::vector<HttpResponse> responses = ForwardAll(
       targets, "POST", "/v1/admin/snapshot", options_.read_timeout_seconds);
@@ -726,9 +661,9 @@ HttpResponse ShardRouter::HandleSnapshot() {
       body.remove_suffix(1);
     }
     json.Object()
-        .Field("index", targets[i].range)
-        .Field("replica", targets[i].replica)
-        .Field("endpoint", HealthKey(targets[i].endpoint))
+        .Field("index", targets[i].member.range)
+        .Field("replica", targets[i].member.replica)
+        .Field("endpoint", HealthKey(targets[i].member.endpoint))
         .Field("status", responses[i].status)
         .Raw("response", body.empty() ? "null" : body)
         .End();
@@ -739,51 +674,31 @@ HttpResponse ShardRouter::HandleSnapshot() {
 }
 
 HttpResponse ShardRouter::HandleTransition(const HttpRequest& request) {
-  if (request.QueryOr("complete", "0") == "1") {
-    auto status = CompleteTransition();
+  const bool complete = request.QueryOr("complete", "0") == "1";
+  if (complete || request.QueryOr("abort", "0") == "1") {
+    auto status = complete ? CompleteTransition() : AbortTransition();
     if (!status.ok()) return JsonErrorResponse(412, status.message());
     JsonWriter json;
     json.Object()
         .Field("transitioning", false)
-        .Field("map_digest", maps()->digest_hex)
-        .Field("completed", true);
+        .Field("map_digest", topology()->current().DigestHex())
+        .Field(complete ? "completed" : "aborted", true);
     return JsonResponse(json);
   }
-  if (request.QueryOr("abort", "0") == "1") {
-    auto status = AbortTransition();
-    if (!status.ok()) return JsonErrorResponse(412, status.message());
-    JsonWriter json;
-    json.Object()
-        .Field("transitioning", false)
-        .Field("map_digest", maps()->digest_hex)
-        .Field("aborted", true);
-    return JsonResponse(json);
-  }
-  if (request.body.empty()) {
-    return JsonErrorResponse(400, "empty body: expected the new shard map spec "
-                                  "(host:port,host:port*2,...)");
-  }
-  std::string spec = request.body;
-  while (!spec.empty() && (spec.back() == '\n' || spec.back() == '\r')) {
-    spec.pop_back();
-  }
-  auto new_map = service::ShardMap::Parse(spec);
-  if (!new_map.ok()) {
-    return JsonErrorResponse(400, "cannot parse new shard map: " +
-                                      new_map.status().message());
-  }
+  auto new_map = ParseMapSpecBody(request.body);
+  if (!new_map.ok()) return JsonErrorResponse(400, new_map.status().message());
   auto status = BeginTransition(*new_map);
   if (!status.ok()) {
     return JsonErrorResponse(
         status.code() == util::StatusCode::kFailedPrecondition ? 409 : 400,
         status.message());
   }
-  auto snapshot = maps();
+  auto snapshot = topology();
   JsonWriter json;
   json.Object()
       .Field("transitioning", true)
-      .Field("map_digest", snapshot->digest_hex)
-      .Field("new_map_digest", snapshot->new_digest_hex);
+      .Field("map_digest", snapshot->current().DigestHex())
+      .Field("new_map_digest", snapshot->incoming()->DigestHex());
   return JsonResponse(json);
 }
 

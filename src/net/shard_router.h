@@ -77,7 +77,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,8 +101,6 @@ struct ShardRouterOptions {
   /// First backoff after a transport failure; doubles per consecutive
   /// failure up to 30 s.
   double backoff_base_seconds = 0.5;
-  /// Retry-After value on router-generated 503s (shard down / backing off).
-  int retry_after_seconds = 1;
 };
 
 class ShardRouter {
@@ -144,18 +141,14 @@ class ShardRouter {
 
   /// Installs `new_map` as the incoming topology and starts double-routing
   /// (also reachable as POST /v1/admin/transition with the spec as body).
-  /// Idempotent for the same map; kFailedPrecondition when a DIFFERENT
-  /// transition is already in flight, kInvalidArgument when the new map
-  /// equals the current one.
+  /// The rules are service::Topology::Begin's.
   util::Status BeginTransition(const service::ShardMap& new_map);
-  /// Flips the incoming map to current (kFailedPrecondition when no
-  /// transition is in flight). Also POST /v1/admin/transition?complete=1.
+  /// Flips the incoming map to current (Topology::Complete). Also POST
+  /// /v1/admin/transition?complete=1.
   util::Status CompleteTransition();
   /// Drops the incoming map without flipping (?abort=1).
   util::Status AbortTransition();
   bool transitioning() const;
-  /// The map currently routed by (the OLD map mid-transition).
-  service::ShardMap current_map() const;
 
  private:
   struct EndpointHealth {
@@ -166,24 +159,13 @@ class ShardRouter {
     uint64_t backoff_shed = 0;
   };
 
-  /// Immutable snapshot of the routing topology, swapped whole under
-  /// maps_mutex_ so request handlers never see a half-updated transition.
-  struct Maps {
-    explicit Maps(service::ShardMap m) : map(std::move(m)) {}
-
-    service::ShardMap map;
-    std::string digest_hex;
-    std::optional<service::ShardMap> new_map;
-    std::string new_digest_hex;
-    /// The map retired by the last completed transition. Job ids encode a
-    /// range index under the map that minted them, so polls keep resolving
-    /// against one generation of history — an async job admitted just
-    /// before the flip stays pollable on the endpoint that owns it.
-    std::optional<service::ShardMap> prev_map;
-    std::string prev_digest_hex;
-  };
-
-  std::shared_ptr<const Maps> maps() const;
+  /// The routing topology; swapped whole under topology_mutex_ so request
+  /// handlers never see a half-updated transition.
+  std::shared_ptr<const service::Topology> topology() const;
+  /// Replaces the topology with `step` applied to it, or returns the status
+  /// refusing the step.
+  template <typename Step>
+  util::Status Transition(const Step& step);
 
   /// Route dispatch body; Handle() wraps it with the per-route latency
   /// histogram observation.
@@ -207,7 +189,8 @@ class ShardRouter {
                                   const service::Fingerprint& fp);
 
   /// One blocking exchange against `endpoint` (Connection: close), with the
-  /// single-hop / digest / fingerprint headers attached. Applies the
+  /// single-hop / digest / fingerprint headers attached; `digest_hex` names
+  /// the map the endpoint is addressed under. Applies the
   /// backoff gate before touching the socket and records the outcome.
   /// `*transport_failed` distinguishes "endpoint is down / backing off"
   /// (true — the caller may fail over to a sibling replica) from an HTTP
@@ -235,7 +218,6 @@ class ShardRouter {
   /// `trace` parents one "forward" span per attempt, tagged
   /// (range << 8 | replica); an all-zero TraceParent records nothing.
   HttpResponse ForwardToRange(const service::ShardMap& map, int index,
-                              const std::string& digest_hex,
                               const std::string& method,
                               const std::string& target,
                               const std::string& body,
@@ -247,14 +229,15 @@ class ShardRouter {
 
   /// Every unique endpoint the router currently addresses (current map
   /// first in (range, replica) order, then incoming-map-only extras).
+  /// `map` points into the topology the list was built from; the caller
+  /// keeps that topology alive while it uses the list.
   struct AddressedEndpoint {
-    service::ShardEndpoint endpoint;
-    int range = 0;
-    int replica = 0;
+    service::ShardMap::Member member;
+    const service::ShardMap* map = nullptr;  ///< the map it is addressed under
     bool new_map_only = false;
-    std::string digest_hex;  ///< digest of the map this endpoint is under
   };
-  static std::vector<AddressedEndpoint> AddressedEndpoints(const Maps& maps);
+  static std::vector<AddressedEndpoint> AddressedEndpoints(
+      const service::Topology& topology);
 
   /// Body-less forward to EVERY addressed endpoint concurrently (up to 16
   /// fan-out threads), index-aligned with AddressedEndpoints(). A
@@ -269,12 +252,13 @@ class ShardRouter {
   /// backend series summed across the endpoints that answered, then the
   /// router's own families.
   struct FleetScrape {
+    std::shared_ptr<const service::Topology> topology;  ///< keeps targets valid
     std::vector<AddressedEndpoint> targets;
     std::vector<HttpResponse> responses;  ///< index-aligned with targets
     int scraped = 0;                      ///< responses that were 200
     std::vector<util::MetricFamily> families;
   };
-  FleetScrape ScrapeFleet(const Maps& maps);
+  FleetScrape ScrapeFleet();
 
   /// Health rows for exactly `targets`, index-aligned — callers that pair
   /// health with per-endpoint responses pass the SAME target list to both,
@@ -296,8 +280,8 @@ class ShardRouter {
   /// Router-local metrics; family names are htd_router_* so the aggregated
   /// /v1/metrics page never collides with summed backend series.
   util::MetricsRegistry metrics_;
-  mutable std::mutex maps_mutex_;
-  std::shared_ptr<const Maps> maps_;  // swapped by transitions
+  mutable std::mutex topology_mutex_;
+  std::shared_ptr<const service::Topology> topology_;  // swapped by transitions
 
   mutable std::mutex health_mutex_;
   /// Keyed "host:port" so health survives topology transitions — flipping

@@ -128,6 +128,22 @@ std::vector<int> DiscreteVertexIds(const Hypergraph& graph,
   return ids;
 }
 
+/// 1 to 16 hex digits (either case) into one 64-bit word.
+bool ParseHexWord(std::string_view text, uint64_t* out) {
+  if (text.empty() || text.size() > 16) return false;
+  uint64_t value = 0;
+  for (char c : text) {
+    int digit;
+    if (c >= '0' && c <= '9') digit = c - '0';
+    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
+    else if (c >= 'A' && c <= 'F') digit = c - 'A' + 10;
+    else return false;
+    value = (value << 4) | static_cast<uint64_t>(digit);
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace
 
 std::string Fingerprint::ToHex() const {
@@ -139,26 +155,33 @@ std::string Fingerprint::ToHex() const {
 }
 
 bool Fingerprint::FromHex(std::string_view text, Fingerprint* out) {
-  if (text.size() != 32) return false;
-  uint64_t words[2] = {0, 0};
-  for (int w = 0; w < 2; ++w) {
-    for (int i = 0; i < 16; ++i) {
-      char c = text[w * 16 + i];
-      uint64_t digit;
-      if (c >= '0' && c <= '9') {
-        digit = static_cast<uint64_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        digit = static_cast<uint64_t>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        digit = static_cast<uint64_t>(c - 'A' + 10);
-      } else {
-        return false;
-      }
-      words[w] = (words[w] << 4) | digit;
-    }
+  Fingerprint fp;
+  if (text.size() != 32 || !ParseHexWord(text.substr(0, 16), &fp.hi) ||
+      !ParseHexWord(text.substr(16), &fp.lo)) {
+    return false;
   }
-  out->hi = words[0];
-  out->lo = words[1];
+  *out = fp;
+  return true;
+}
+
+std::string FingerprintRange::ToHex() const {
+  char buf[34];
+  std::snprintf(buf, sizeof(buf), "%016llx-%016llx",
+                static_cast<unsigned long long>(first_hi),
+                static_cast<unsigned long long>(last_hi));
+  return std::string(buf);
+}
+
+bool FingerprintRange::FromHex(std::string_view text, FingerprintRange* out) {
+  const size_t dash = text.find('-');
+  FingerprintRange range;
+  if (dash == std::string_view::npos ||
+      !ParseHexWord(text.substr(0, dash), &range.first_hi) ||
+      !ParseHexWord(text.substr(dash + 1), &range.last_hi) ||
+      range.first_hi > range.last_hi) {
+    return false;
+  }
+  *out = range;
   return true;
 }
 

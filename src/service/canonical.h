@@ -73,6 +73,12 @@ struct FingerprintRange {
   bool operator==(const FingerprintRange& other) const {
     return first_hi == other.first_hi && last_hi == other.last_hi;
   }
+  /// "HEX-HEX", 16 hex digits each side: the wire form of a range in
+  /// ?range= parameters and /v1/stats.
+  std::string ToHex() const;
+  /// Inverse of ToHex, lenient on width: 1 to 16 hex digits each side, and
+  /// first <= last. Returns false on anything else.
+  static bool FromHex(std::string_view text, FingerprintRange* out);
 };
 
 struct FingerprintHash {

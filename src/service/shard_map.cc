@@ -1,5 +1,6 @@
 #include "service/shard_map.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "util/cli.h"
@@ -32,6 +33,19 @@ ShardMap::ShardMap(std::vector<std::vector<ShardEndpoint>> replicas)
   // floor((2^64 - 1) / n) + 1: n slices of this width cover the whole space,
   // and (n-1) * step_ never overflows for n <= kMaxShards (<< 2^32).
   step_ = n == 1 ? 0 : (~0ULL / n) + 1;
+  // FNV-1a over the canonical serialisation, then mixed: equal maps — and
+  // only equal maps — digest equally. The serialisation carries the replica
+  // grouping, so changing replication alone changes the digest too.
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : std::to_string(replicas_.size()) + ";" + Serialise()) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  digest_ = util::Mix64(h);
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(digest_));
+  digest_hex_ = buf;
 }
 
 std::optional<ShardEndpoint> ShardEndpoint::Parse(std::string_view text) {
@@ -74,33 +88,26 @@ util::StatusOr<ShardMap> ShardMap::Parse(const std::string& spec) {
       }
       item = item.substr(0, star);
     }
-    size_t colon = item.rfind(':');
-    if (colon == std::string_view::npos || colon == 0) {
+    std::optional<ShardEndpoint> endpoint = ShardEndpoint::Parse(item);
+    if (!endpoint.has_value()) {
       return util::Status::InvalidArgument(
           "shard map: endpoint \"" + std::string(item) +
-          "\" is not host:port");
+          "\" is not host:port with a port in [1, 65535]");
     }
-    long port;
-    if (!util::ParseIntFlag(item.substr(colon + 1), 1, 65535, &port)) {
-      return util::Status::InvalidArgument(
-          "shard map: bad port in \"" + std::string(item) + "\"");
-    }
-    ShardEndpoint endpoint{std::string(item.substr(0, colon)),
-                           static_cast<int>(port)};
     for (const auto& range : replicas) {
       for (const ShardEndpoint& existing : range) {
-        if (existing == endpoint) {
+        if (existing == *endpoint) {
           return util::Status::InvalidArgument(
-              "shard map: duplicate endpoint " + endpoint.host + ":" +
-              std::to_string(endpoint.port));
+              "shard map: duplicate endpoint " + endpoint->host + ":" +
+              std::to_string(endpoint->port));
         }
       }
     }
     if (pending_replicas > 0) {
-      replicas.back().push_back(std::move(endpoint));
+      replicas.back().push_back(std::move(*endpoint));
       --pending_replicas;
     } else {
-      replicas.push_back({std::move(endpoint)});
+      replicas.push_back({std::move(*endpoint)});
       pending_replicas = static_cast<int>(replica_count) - 1;
     }
     if (comma == std::string_view::npos) break;
@@ -132,40 +139,20 @@ std::string ShardMap::Serialise() const {
   return out;
 }
 
-uint64_t ShardMap::Digest() const {
-  // FNV-1a over the canonical serialisation, then mixed: equal maps — and
-  // only equal maps — digest equally. The serialisation carries the replica
-  // grouping, so changing replication alone changes the digest too.
-  uint64_t h = 1469598103934665603ULL;
-  const std::string text =
-      std::to_string(replicas_.size()) + ";" + Serialise();
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ULL;
+std::vector<ShardMap::Member> ShardMap::Members() const {
+  std::vector<Member> members;
+  for (size_t index = 0; index < replicas_.size(); ++index) {
+    for (size_t r = 0; r < replicas_[index].size(); ++r) {
+      members.push_back({replicas_[index][r], static_cast<int>(index),
+                         static_cast<int>(r)});
+    }
   }
-  return util::Mix64(h);
-}
-
-std::string ShardMap::DigestHex() const {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(Digest()));
-  return std::string(buf);
-}
-
-int ShardMap::num_endpoints() const {
-  int total = 0;
-  for (const std::vector<ShardEndpoint>& range : replicas_) {
-    total += static_cast<int>(range.size());
-  }
-  return total;
+  return members;
 }
 
 int ShardMap::RangeOfEndpoint(const ShardEndpoint& endpoint) const {
-  for (size_t index = 0; index < replicas_.size(); ++index) {
-    for (const ShardEndpoint& candidate : replicas_[index]) {
-      if (candidate == endpoint) return static_cast<int>(index);
-    }
+  for (const Member& member : Members()) {
+    if (member.endpoint == endpoint) return member.range;
   }
   return -1;
 }
@@ -199,6 +186,68 @@ FingerprintRange ShardMap::RangeFor(int index) const {
                       ? ~0ULL
                       : static_cast<uint64_t>(index + 1) * step_ - 1;
   return range;
+}
+
+util::StatusOr<Topology> Topology::Begin(const ShardMap& next) const {
+  if (next.Digest() == current_.Digest()) {
+    return util::Status::InvalidArgument(
+        "new map equals the current map (digest " + current_.DigestHex() +
+        "); nothing to transition to");
+  }
+  if (incoming_.has_value() && incoming_->Digest() != next.Digest()) {
+    return util::Status::FailedPrecondition(
+        "a different transition is already in flight (to digest " +
+        incoming_->DigestHex() + "); complete or abort it first");
+  }
+  Topology begun = *this;
+  begun.incoming_ = next;
+  return begun;
+}
+
+util::StatusOr<Topology> Topology::Complete() const {
+  if (!incoming_.has_value()) {
+    return util::Status::FailedPrecondition("no transition in flight");
+  }
+  Topology completed(*incoming_);
+  completed.retired_ = current_;
+  return completed;
+}
+
+util::StatusOr<Topology> Topology::Abort() const {
+  if (!incoming_.has_value()) {
+    return util::Status::FailedPrecondition("no transition in flight");
+  }
+  Topology aborted = *this;
+  aborted.incoming_.reset();
+  return aborted;
+}
+
+bool Topology::AcceptsDigest(std::string_view digest_hex) const {
+  return digest_hex == current_.DigestHex() ||
+         (incoming_.has_value() && digest_hex == incoming_->DigestHex());
+}
+
+std::vector<const ShardMap*> Topology::Generations() const {
+  std::vector<const ShardMap*> maps = {&current_};
+  if (incoming_.has_value()) maps.push_back(&*incoming_);
+  if (retired_.has_value()) maps.push_back(&*retired_);
+  return maps;
+}
+
+bool Topology::Serves(int index, int new_index, const Fingerprint& fp) const {
+  return current_.RangeFor(index).Contains(fp) ||
+         (incoming_.has_value() && new_index >= 0 &&
+          incoming_->RangeFor(new_index).Contains(fp));
+}
+
+FingerprintRange Topology::Covering(int index, int new_index) const {
+  FingerprintRange covering = current_.RangeFor(index);
+  if (incoming_.has_value() && new_index >= 0) {
+    const FingerprintRange incoming = incoming_->RangeFor(new_index);
+    covering.first_hi = std::min(covering.first_hi, incoming.first_hi);
+    covering.last_hi = std::max(covering.last_hi, incoming.last_hi);
+  }
+  return covering;
 }
 
 }  // namespace htd::service

@@ -76,9 +76,10 @@ class ShardMap {
   /// 64-bit digest of the full topology (range count, every endpoint, and
   /// the replica grouping). Two processes agree on routing iff their
   /// digests match.
-  uint64_t Digest() const;
-  /// Digest() in 16 hex digits, the wire form of x-htd-shard-digest.
-  std::string DigestHex() const;
+  uint64_t Digest() const { return digest_; }
+  /// Digest() in 16 hex digits, the wire form of x-htd-shard-digest;
+  /// rendered once, when the map is built.
+  const std::string& DigestHex() const { return digest_hex_; }
 
   /// Number of fingerprint RANGES (not processes; a replicated range counts
   /// once). --shard-index addresses ranges.
@@ -96,8 +97,21 @@ class ShardMap {
   const ShardEndpoint& replica(int index, int r) const {
     return replicas_[index][r];
   }
+  /// The whole replica set of range `index`, primary first.
+  const std::vector<ShardEndpoint>& replicas(int index) const {
+    return replicas_[index];
+  }
   /// Total process count across every range's replica set.
-  int num_endpoints() const;
+  int num_endpoints() const { return static_cast<int>(Members().size()); }
+
+  /// One process of the map: replica `replica` of range `range`.
+  struct Member {
+    ShardEndpoint endpoint;
+    int range = 0;
+    int replica = 0;
+  };
+  /// Every process of the map, in (range, replica) order.
+  std::vector<Member> Members() const;
 
   /// Locates `endpoint` anywhere in the map (any replica slot). Returns the
   /// range index it serves, or -1 when the endpoint is not in the map —
@@ -131,6 +145,58 @@ class ShardMap {
   uint64_t step_ = 0;
   /// replicas_[range] = that range's replica set, primary first.
   std::vector<std::vector<ShardEndpoint>> replicas_;
+  uint64_t digest_ = 0;
+  std::string digest_hex_;
+};
+
+/// One participant's view of the fleet through a live reshard: the current
+/// map, the incoming map while a transition is in flight, and the map the
+/// last completed transition retired. The shard router
+/// (net/shard_router.h) and every sharded backend
+/// (net/decomposition_server.h) hold one and move between maps only through
+/// its transitions, so both sides enforce the same rules. Immutable: a
+/// transition returns the next Topology.
+class Topology {
+ public:
+  explicit Topology(ShardMap current) : current_(std::move(current)) {}
+
+  const ShardMap& current() const { return current_; }
+  /// The incoming map; null unless a transition is in flight.
+  const ShardMap* incoming() const {
+    return incoming_.has_value() ? &*incoming_ : nullptr;
+  }
+  bool transitioning() const { return incoming_.has_value(); }
+
+  /// Announces `next` as the incoming map. InvalidArgument when it equals
+  /// the current map; unchanged when it already is the incoming map;
+  /// FailedPrecondition when a different transition is in flight.
+  util::StatusOr<Topology> Begin(const ShardMap& next) const;
+  /// Makes the incoming map current and retires the old current map.
+  /// FailedPrecondition when no transition is in flight.
+  util::StatusOr<Topology> Complete() const;
+  /// Drops the incoming map. FailedPrecondition when none is in flight.
+  util::StatusOr<Topology> Abort() const;
+
+  /// True when a request routed by `digest_hex` may be served: it is the
+  /// digest of the current or of the incoming map.
+  bool AcceptsDigest(std::string_view digest_hex) const;
+
+  /// Every map a job id may have been minted under: current, incoming, then
+  /// retired. Keeping the retired map for one generation lets an async job
+  /// admitted just before a flip stay pollable on the process that owns it.
+  std::vector<const ShardMap*> Generations() const;
+
+  /// True when `fp` is in range `index` of the current map or, mid-
+  /// transition, in range `new_index` of the incoming map (-1: none) — what
+  /// a backend serving those ranges admits.
+  bool Serves(int index, int new_index, const Fingerprint& fp) const;
+  /// The smallest interval covering both of those ranges.
+  FingerprintRange Covering(int index, int new_index) const;
+
+ private:
+  ShardMap current_;
+  std::optional<ShardMap> incoming_;
+  std::optional<ShardMap> retired_;
 };
 
 }  // namespace htd::service

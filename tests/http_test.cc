@@ -137,6 +137,29 @@ TEST(HttpResponseTest, SerializeAndReparse) {
   EXPECT_EQ(body, response.body);
 }
 
+TEST(HttpResponseTest, RejectsAnUnterminatedHeadPastTheLimit) {
+  // A peer that never ends its head must not grow the client's buffer for
+  // as long as it keeps sending: past kMaxHeadBytes the parse fails.
+  HttpResponseParser parser;
+  HttpResponseParser::State state = parser.Consume("HTTP/1.1 200 OK\r\n");
+  const std::string filler = "X-Filler: " + std::string(1000, 'x') + "\r\n";
+  for (size_t sent = 0; sent <= kMaxHeadBytes + filler.size() &&
+                        state == HttpResponseParser::State::kNeedMore;
+       sent += filler.size()) {
+    state = parser.Consume(filler);
+  }
+  EXPECT_EQ(state, HttpResponseParser::State::kError);
+
+  // Bodies stay framed by Content-Length alone: a large one behind a small
+  // head parses.
+  const std::string body(4 * kMaxHeadBytes, 'b');
+  HttpResponseParser large;
+  EXPECT_EQ(large.Consume("HTTP/1.1 200 OK\r\nContent-Length: " +
+                          std::to_string(body.size()) + "\r\n\r\n" + body),
+            HttpResponseParser::State::kDone);
+  EXPECT_EQ(large.body().size(), body.size());
+}
+
 TEST(HttpResponseTest, BlobParserRejectsGarbage) {
   int status = 0;
   std::map<std::string, std::string> headers;

@@ -165,7 +165,6 @@ TEST(NetServerTest, AsyncJobLifecycle) {
 TEST(NetServerTest, AdmissionControlShedsWith429) {
   DecompositionServerOptions options = BaseOptions();
   options.max_queue_depth = 2;
-  options.retry_after_seconds = 3;
   auto server = DecompositionServer::Create(options);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE((*server)->Start().ok());
@@ -183,7 +182,7 @@ TEST(NetServerTest, AdmissionControlShedsWith429) {
       ++accepted;
     } else {
       ASSERT_EQ(r.status, 429) << r.body;
-      EXPECT_EQ(r.headers.at("retry-after"), "3");
+      EXPECT_EQ(r.headers.at("retry-after"), "1");
       ++shed;
     }
   }
@@ -276,7 +275,6 @@ TEST(NetServerTest, AsyncQueryJobsCountAgainstTheAdmissionBound) {
   // lane and are counted, so the same bound covers both job kinds.
   DecompositionServerOptions options = BaseOptions();
   options.max_queue_depth = 2;
-  options.retry_after_seconds = 3;
   auto server = DecompositionServer::Create(options);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE((*server)->Start().ok());
@@ -307,7 +305,7 @@ TEST(NetServerTest, AsyncQueryJobsCountAgainstTheAdmissionBound) {
       ++accepted;
     } else {
       ASSERT_EQ(r.status, 429) << r.body;
-      EXPECT_EQ(r.headers.at("retry-after"), "3");
+      EXPECT_EQ(r.headers.at("retry-after"), "1");
       ++shed;
     }
   }

@@ -92,6 +92,51 @@ HttpRequest RoutedDecompose(const std::string& instance,
   return request;
 }
 
+TEST(ReshardTest, RouterAndBackendAnswerTransitionStepsAlike) {
+  // One transition sequence through both front ends — the router's
+  // /v1/admin/transition and a backend's /v1/admin/migrate prepare and
+  // finalise — must answer the same status at every step. Nothing is
+  // forwarded or pushed, so the map endpoints can be fictitious.
+  const service::ShardMap current = MustParse("a:1001,b:1002");
+  const service::ShardMap next = MustParse("a:1001,b:1002,c:1003");
+  const service::ShardMap other = MustParse("a:1001,c:1003");
+  ShardRouter router(ShardRouterOptions{current});
+  DecompositionServerOptions options;
+  options.http.port = 0;
+  options.shard_map = current;
+  options.shard_index = 0;
+  auto backend = DecompositionServer::Create(options);
+  ASSERT_TRUE(backend.ok()) << backend.status().message();
+
+  struct Step {
+    const char* what;
+    std::string spec;  // empty: complete (router) / finalise (backend)
+    int status;
+  };
+  const Step steps[] = {
+      {"complete with nothing in flight", "", 412},
+      {"begin with the current map", current.Serialise(), 400},
+      {"begin", next.Serialise(), 200},
+      {"re-announce the same map", next.Serialise(), 200},
+      {"begin a different map while one is in flight", other.Serialise(), 409},
+      {"complete", "", 200},
+      {"complete again with nothing in flight", "", 412},
+  };
+  for (const Step& step : steps) {
+    const bool complete = step.spec.empty();
+    HttpResponse routed = router.Handle(
+        complete ? Request("POST", "/v1/admin/transition?complete=1")
+                 : Request("POST", "/v1/admin/transition", step.spec));
+    HttpResponse migrated = (*backend)->Handle(
+        complete ? Request("POST", "/v1/admin/migrate?finalise=1")
+                 : Request("POST", "/v1/admin/migrate?prepare=1&new_index=0",
+                           step.spec));
+    EXPECT_EQ(routed.status, step.status) << step.what << ": " << routed.body;
+    EXPECT_EQ(migrated.status, step.status)
+        << step.what << ": " << migrated.body;
+  }
+}
+
 TEST(ReshardTest, MigrationMovesWarmStateToNewOwners) {
   const int p0 = FreePort(), p1 = FreePort(), p2 = FreePort();
   const std::string host = "127.0.0.1:";

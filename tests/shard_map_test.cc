@@ -186,6 +186,111 @@ TEST(ShardMapTest, RangeOfEndpointFindsAnyReplica) {
   EXPECT_EQ(map.RangeOfEndpoint({"d", 4}), -1);
 }
 
+TEST(ShardMapTest, MembersWalkEveryProcessInRangeReplicaOrder) {
+  ShardMap map = MustParse("a:1,b:2*2,c:3");
+  std::vector<std::string> walked;
+  for (const ShardMap::Member& member : map.Members()) {
+    walked.push_back(member.endpoint.host + std::to_string(member.range) +
+                     std::to_string(member.replica));
+  }
+  EXPECT_EQ(walked, (std::vector<std::string>{"a00", "b10", "c11"}));
+  EXPECT_EQ(map.num_endpoints(), 3);
+}
+
+TEST(ShardMapTest, TopologyTransitionRules) {
+  const ShardMap two = MustParse("a:1,b:1");
+  const ShardMap three = MustParse("a:1,b:1,c:1");
+  const ShardMap other = MustParse("a:1,c:1");
+  const Topology topology(two);
+  EXPECT_FALSE(topology.transitioning());
+  EXPECT_EQ(topology.incoming(), nullptr);
+  EXPECT_EQ(topology.Complete().status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(topology.Abort().status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(topology.Begin(two).status().code(),
+            util::StatusCode::kInvalidArgument);
+
+  auto begun = topology.Begin(three);
+  ASSERT_TRUE(begun.ok()) << begun.status().message();
+  ASSERT_TRUE(begun->transitioning());
+  EXPECT_EQ(begun->current().Digest(), two.Digest());
+  EXPECT_EQ(begun->incoming()->Digest(), three.Digest());
+  EXPECT_TRUE(begun->AcceptsDigest(two.DigestHex()));
+  EXPECT_TRUE(begun->AcceptsDigest(three.DigestHex()));
+  EXPECT_FALSE(begun->AcceptsDigest(other.DigestHex()));
+  EXPECT_FALSE(topology.AcceptsDigest(three.DigestHex()));
+
+  auto again = begun->Begin(three);
+  ASSERT_TRUE(again.ok()) << "re-announcing the incoming map is a no-op";
+  EXPECT_EQ(again->incoming()->Digest(), three.Digest());
+  EXPECT_EQ(begun->Begin(other).status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(begun->Begin(two).status().code(),
+            util::StatusCode::kInvalidArgument);
+
+  auto aborted = begun->Abort();
+  ASSERT_TRUE(aborted.ok());
+  EXPECT_FALSE(aborted->transitioning());
+  EXPECT_EQ(aborted->current().Digest(), two.Digest());
+  EXPECT_EQ(aborted->Generations().size(), 1u);
+
+  auto completed = begun->Complete();
+  ASSERT_TRUE(completed.ok());
+  EXPECT_FALSE(completed->transitioning());
+  EXPECT_EQ(completed->current().Digest(), three.Digest());
+  EXPECT_FALSE(completed->AcceptsDigest(two.DigestHex()));
+  // The retired map stays addressable for job polls, after current and
+  // incoming.
+  const std::vector<const ShardMap*> generations = completed->Generations();
+  ASSERT_EQ(generations.size(), 2u);
+  EXPECT_EQ(generations[1]->Digest(), two.Digest());
+  auto next = completed->Begin(other);
+  ASSERT_TRUE(next.ok());
+  ASSERT_EQ(next->Generations().size(), 3u);
+  EXPECT_EQ(next->Generations()[1]->Digest(), other.Digest());
+  EXPECT_EQ(next->Generations()[2]->Digest(), two.Digest());
+}
+
+TEST(ShardMapTest, TopologyRangesServedByABackend) {
+  const ShardMap two = MustParse("a:1,b:1");
+  const ShardMap three = MustParse("a:1,b:1,c:1");
+  const Topology stable(two);
+  const Topology moving = *stable.Begin(three);
+  const Fingerprint low{1, 0};
+  const Fingerprint top{~0ULL, 0};
+  const Fingerprint middle{three.RangeFor(1).first_hi, 0};  // old 0, new 1
+
+  // Only the current range counts until a transition is in flight.
+  EXPECT_TRUE(stable.Serves(0, 1, low));
+  EXPECT_FALSE(stable.Serves(1, 0, low));
+  EXPECT_EQ(stable.Covering(0, 1), two.RangeFor(0));
+  // Mid-transition, the incoming range counts too, unless the backend
+  // leaves the fleet (new index -1).
+  EXPECT_TRUE(moving.Serves(1, 0, low));
+  EXPECT_FALSE(moving.Serves(1, -1, low));
+  EXPECT_TRUE(moving.Serves(0, 1, middle));
+  EXPECT_FALSE(moving.Serves(0, 0, top));
+  // The covering interval spans both ranges.
+  const FingerprintRange covering = moving.Covering(1, 0);
+  EXPECT_EQ(covering.first_hi, 0u);
+  EXPECT_EQ(covering.last_hi, ~0ULL);
+  EXPECT_EQ(moving.Covering(1, -1), two.RangeFor(1));
+}
+
+TEST(ShardMapTest, FingerprintRangeHexRoundTrips) {
+  const FingerprintRange range = MustParse("a:1,b:1,c:1").RangeFor(1);
+  FingerprintRange parsed;
+  ASSERT_TRUE(FingerprintRange::FromHex(range.ToHex(), &parsed));
+  EXPECT_EQ(parsed, range);
+  ASSERT_TRUE(FingerprintRange::FromHex("A-ff", &parsed));
+  EXPECT_EQ(parsed, (FingerprintRange{10, 255}));
+  for (const char* bad : {"", "-", "1-", "-1", "2-1", "x-1", "1-1-1",
+                          "1-11111111111111111"}) {
+    EXPECT_FALSE(FingerprintRange::FromHex(bad, &parsed)) << bad;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Range filters through the warm state.
 

@@ -39,11 +39,8 @@
 #include <utility>
 #include <vector>
 
-#include "cq/query.h"
-#include "hypergraph/parser.h"
 #include "net/http_client.h"
-#include "qa/wire.h"
-#include "service/canonical.h"
+#include "net/routes.h"
 #include "service/shard_map.h"
 #include "util/cli.h"
 #include "util/metrics.h"
@@ -214,28 +211,42 @@ int FanOut(const Args& args, const std::string& method,
   const std::vector<std::pair<std::string, std::string>> digest_header = {
       {"X-HTD-Shard-Digest", map.DigestHex()}};
   int worst = 0;
-  for (int i = 0; i < map.num_shards(); ++i) {
-    for (int r = 0; r < map.num_replicas(i); ++r) {
-      const htd::service::ShardEndpoint& endpoint = map.replica(i, r);
-      int status = 0;
-      std::string response;
-      if (!Exchange(args, endpoint.host, endpoint.port, method, target, "",
-                    digest_header, &status, &response)) {
-        worst = std::max(worst, 2);
-        continue;
-      }
-      if (args.command == "metrics" && !args.verbose && status == 200) {
-        response = PrettyMetrics(response);
-      }
-      if (!args.quiet || status < 200 || status >= 300) {
-        std::printf("shard %d replica %d (%s:%d): HTTP %d\n%s", i, r,
-                    endpoint.host.c_str(), endpoint.port, status,
-                    response.c_str());
-      }
-      worst = std::max(worst, ExitCodeFor(status));
+  for (const htd::service::ShardMap::Member& member : map.Members()) {
+    const htd::service::ShardEndpoint& endpoint = member.endpoint;
+    int status = 0;
+    std::string response;
+    if (!Exchange(args, endpoint.host, endpoint.port, method, target, "",
+                  digest_header, &status, &response)) {
+      worst = std::max(worst, 2);
+      continue;
     }
+    if (args.command == "metrics" && !args.verbose && status == 200) {
+      response = PrettyMetrics(response);
+    }
+    if (!args.quiet || status < 200 || status >= 300) {
+      std::printf("shard %d replica %d (%s:%d): HTTP %d\n%s", member.range,
+                  member.replica, endpoint.host.c_str(), endpoint.port, status,
+                  response.c_str());
+    }
+    worst = std::max(worst, ExitCodeFor(status));
   }
   return worst;
+}
+
+/// The shard routing key of `body` under `route` — the fingerprint the
+/// router (net/routes.h) computes for the same body; nullopt (reported on
+/// stderr) when the body does not parse.
+template <typename Route>
+std::optional<htd::service::Fingerprint> RoutingKey(const Route& route,
+                                                    const std::string& body,
+                                                    const std::string& file) {
+  auto parsed = route.parse(body);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "hdclient: cannot parse %s: %s\n", file.c_str(),
+                 parsed.status().message().c_str());
+    return std::nullopt;
+  }
+  return route.fingerprint(*parsed);
 }
 
 }  // namespace
@@ -311,11 +322,7 @@ int main(int argc, char** argv) {
   /// failure (client-side analogue of the router's replica failover).
   std::vector<std::pair<std::string, int>> replica_fallbacks;
   if (args.shards.has_value()) {
-    if (args.command == "stats" || args.command == "snapshot" ||
-        args.command == "metrics" || args.command == "trace" ||
-        args.command == "sync") {
-      return FanOut(args, method, target);
-    }
+    if (FansOut(args.command)) return FanOut(args, method, target);
     if (args.command == "job") {
       std::fprintf(stderr,
                    "hdclient: `job` with --shards is ambiguous; poll the "
@@ -326,25 +333,12 @@ int main(int argc, char** argv) {
     // every renaming of this instance lands on the same warm state. A query
     // hashes the fingerprint of its hypergraph — the same key the backend
     // decomposes under.
-    htd::service::Fingerprint fp;
-    if (args.command == "query") {
-      auto parsed = htd::qa::ParseQueryRequest(body);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "hdclient: cannot parse %s: %s\n",
-                     args.file.c_str(), parsed.status().message().c_str());
-        return 2;
-      }
-      fp = htd::service::CanonicalFingerprint(
-          htd::cq::QueryHypergraph(parsed->query));
-    } else {
-      auto parsed = htd::ParseAuto(body);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "hdclient: cannot parse %s: %s\n",
-                     args.file.c_str(), parsed.status().message().c_str());
-        return 2;
-      }
-      fp = htd::service::CanonicalFingerprint(*parsed);
-    }
+    const std::optional<htd::service::Fingerprint> key =
+        args.command == "query"
+            ? RoutingKey(htd::net::kQueryRoute, body, args.file)
+            : RoutingKey(htd::net::kDecomposeRoute, body, args.file);
+    if (!key.has_value()) return 2;
+    const htd::service::Fingerprint fp = *key;
     const int shard = args.shards->IndexFor(fp);
     // A replicated range (host:port*R in the map) spreads clients over its
     // replicas by the fingerprint's low word — stateless, deterministic per

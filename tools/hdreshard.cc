@@ -139,22 +139,13 @@ int main(int argc, char** argv) {
     int new_index = -1;
   };
   std::vector<OldBackend> old_backends;
-  for (int index = 0; index < from->num_shards(); ++index) {
-    for (int r = 0; r < from->num_replicas(index); ++r) {
-      OldBackend backend;
-      backend.endpoint = from->replica(index, r);
-      backend.old_range = index;
-      backend.new_index = to->RangeOfEndpoint(backend.endpoint);
-      old_backends.push_back(std::move(backend));
-    }
+  for (const htd::service::ShardMap::Member& member : from->Members()) {
+    old_backends.push_back({member.endpoint, member.range,
+                            to->RangeOfEndpoint(member.endpoint)});
   }
-  std::vector<htd::service::ShardEndpoint> new_only;
-  for (int index = 0; index < to->num_shards(); ++index) {
-    for (int r = 0; r < to->num_replicas(index); ++r) {
-      if (from->RangeOfEndpoint(to->replica(index, r)) < 0) {
-        new_only.push_back(to->replica(index, r));
-      }
-    }
+  std::vector<htd::service::ShardMap::Member> new_only;
+  for (const htd::service::ShardMap::Member& member : to->Members()) {
+    if (from->RangeOfEndpoint(member.endpoint) < 0) new_only.push_back(member);
   }
 
   std::printf("hdreshard: %d -> %d ranges (digests %s -> %s)\n",
@@ -172,11 +163,11 @@ int main(int argc, char** argv) {
                   backend.old_range);
     }
   }
-  for (const htd::service::ShardEndpoint& endpoint : new_only) {
+  for (const htd::service::ShardMap::Member& member : new_only) {
     std::printf("  %s:%d  JOINS as range %d (must already run with the new "
                 "map)\n",
-                endpoint.host.c_str(), endpoint.port,
-                to->RangeOfEndpoint(endpoint));
+                member.endpoint.host.c_str(), member.endpoint.port,
+                member.range);
   }
   if (args.dry_run) return 0;
 
@@ -250,25 +241,23 @@ int main(int argc, char** argv) {
   // 6. Verify: the new fleet's counters show the warm state arrived.
   long long total_in = 0;
   bool verified = true;
-  for (int index = 0; index < to->num_shards(); ++index) {
-    for (int r = 0; r < to->num_replicas(index); ++r) {
-      const htd::service::ShardEndpoint& endpoint = to->replica(index, r);
-      const long long cache_in =
-          MigrationCounter(args, endpoint, "imported_cache");
-      const long long store_in =
-          MigrationCounter(args, endpoint, "imported_store");
-      if (cache_in < 0 || store_in < 0) {
-        std::fprintf(stderr, "hdreshard: verify %s:%d: unreachable\n",
-                     endpoint.host.c_str(), endpoint.port);
-        verified = false;
-        continue;
-      }
-      std::printf("hdreshard: verify range %d (%s:%d): imported %lld cache + "
-                  "%lld store entries\n",
-                  index, endpoint.host.c_str(), endpoint.port, cache_in,
-                  store_in);
-      total_in += cache_in + store_in;
+  for (const htd::service::ShardMap::Member& member : to->Members()) {
+    const htd::service::ShardEndpoint& endpoint = member.endpoint;
+    const long long cache_in =
+        MigrationCounter(args, endpoint, "imported_cache");
+    const long long store_in =
+        MigrationCounter(args, endpoint, "imported_store");
+    if (cache_in < 0 || store_in < 0) {
+      std::fprintf(stderr, "hdreshard: verify %s:%d: unreachable\n",
+                   endpoint.host.c_str(), endpoint.port);
+      verified = false;
+      continue;
     }
+    std::printf("hdreshard: verify range %d (%s:%d): imported %lld cache + "
+                "%lld store entries\n",
+                member.range, endpoint.host.c_str(), endpoint.port, cache_in,
+                store_in);
+    total_in += cache_in + store_in;
   }
   std::printf("hdreshard: done — %lld entries pushed out, %lld accepted by "
               "new owners\n", total_out, total_in);
