@@ -1,4 +1,5 @@
-// Ablation bench (no direct paper counterpart; DESIGN.md §3 design choices):
+// Ablation bench (no direct paper counterpart; see README.md, "Reproducing
+// the paper"):
 //
 //  A. Preprocessing — the width-preserving reductions (subsumed edges, twin
 //     vertices, component split) every production HD system applies. We run

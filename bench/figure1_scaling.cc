@@ -2,21 +2,15 @@
 // HB_large analogue (instances with |E| > 50 and hw <= 6), with the
 // single-core NewDetKDecomp as reference.
 //
-// The paper measures wall-clock time on 1..5 cores of a 12-core Xeon. This
-// container has a single core (DESIGN.md §4, substitution 3), where real
-// threads cannot speed anything up (and oversubscription actively starves
-// workers). The harness therefore runs the solvers in partition-simulation
-// mode: the separator search executes sequentially while list-scheduling its
-// work chunks onto n virtual workers — exactly the dynamic chunk-claiming
-// discipline of the real parallel path — and reports
-//
-//   effective time(n) = wall time * makespan(n) / total work,
-//
-// the wall time the same search would take if the longest worker bounded the
-// runtime (the paper's §5.2 argument: no inter-thread communication, so the
-// longest worker is the critical path). Set HTD_FIG1_REAL_THREADS=1 on a
-// multicore machine to measure genuine wall-clock scaling instead.
-#include <cstdlib>
+// The paper measures wall-clock time on 1..5 cores of a 12-core Xeon; its
+// §5.2 argument is that the slots share nothing, so the longest worker sets
+// the time. This harness measures wall clock on real threads: num_threads
+// slot tasks per search level on the global executor. It sweeps 1..5 cores
+// like the paper, capped at this host's hardware threads — rows past them
+// would only measure oversubscription. See README.md, "Reproducing the
+// paper".
+#include <algorithm>
+#include <thread>
 
 #include "bench_common.h"
 #include "util/cancel.h"
@@ -25,11 +19,6 @@
 namespace htd::bench {
 namespace {
 
-bool UseRealThreads() {
-  const char* value = std::getenv("HTD_FIG1_REAL_THREADS");
-  return value != nullptr && value[0] == '1';
-}
-
 int Main() {
   RunConfig config = RunConfig::FromEnv();
   CorpusConfig corpus_config;
@@ -37,10 +26,10 @@ int Main() {
   std::vector<Instance> corpus = BuildHyperBenchLikeCorpus(corpus_config);
   PrintPreamble("Figure 1: scaling with the number of cores (HB_large)", config,
                 corpus.size());
-  const bool real_threads = UseRealThreads();
-  std::printf("mode: %s\n\n", real_threads
-                                  ? "real threads (wall-clock scaling)"
-                                  : "partition simulation (single-core host)");
+  const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+  const int max_threads = std::clamp(hardware, 1, 5);
+  std::printf("wall clock on real threads: cores 1..%d (host reports %d)\n\n",
+              max_threads, hardware);
 
   // Pre-pass: determine widths (hybrid, sequential) to select HB_large.
   std::vector<int> widths(corpus.size(), -1);
@@ -58,7 +47,6 @@ int Main() {
   std::printf("HB_large analogue: %zu instances (|E| > 50, hw <= 6)\n\n",
               selected.size());
 
-  const int max_threads = 6;
   struct MethodSpec {
     const char* name;
     SolverFactory factory;
@@ -69,14 +57,13 @@ int Main() {
   };
 
   TextTable table;
-  table.AddRow({"method", "cores", "avg wall (ms)", "avg effective (ms)",
-                "speedup", "timeouts (all runs)"});
+  table.AddRow({"method", "cores", "avg wall (ms)", "speedup",
+                "timeouts (all runs)"});
   for (const MethodSpec& method : methods) {
     // The paper averages only over instances that never time out for any n.
     std::vector<bool> always_solved(selected.size(), true);
     std::vector<std::vector<double>> wall_per_inst(
         selected.size(), std::vector<double>(max_threads + 1, 0.0));
-    std::vector<std::vector<double>> eff_per_inst = wall_per_inst;
     int timeouts = 0;
 
     for (int threads = 1; threads <= max_threads; ++threads) {
@@ -87,7 +74,6 @@ int Main() {
         SolveOptions options;
         options.cancel = &cancel;
         options.num_threads = threads;
-        options.simulate_partition = !real_threads;
         std::unique_ptr<HdSolver> solver = method.factory(options);
         util::WallTimer timer;
         OptimalRun run = FindOptimalWidth(*solver, instance.graph, config.max_width);
@@ -97,28 +83,20 @@ int Main() {
           ++timeouts;
           continue;
         }
-        double ratio = run.stats.work_total > 0
-                           ? static_cast<double>(run.stats.work_parallel) /
-                                 static_cast<double>(run.stats.work_total)
-                           : 1.0;
         wall_per_inst[s][threads] = seconds;
-        eff_per_inst[s][threads] = real_threads ? seconds : seconds * ratio;
       }
     }
-    double base_effective = 0.0;
+    double base_wall = 0.0;
     for (int threads = 1; threads <= max_threads; ++threads) {
-      util::RunningStats wall_stats, eff_stats;
+      util::RunningStats wall_stats;
       for (size_t s = 0; s < selected.size(); ++s) {
-        if (!always_solved[s]) continue;
-        wall_stats.Add(wall_per_inst[s][threads]);
-        eff_stats.Add(eff_per_inst[s][threads]);
+        if (always_solved[s]) wall_stats.Add(wall_per_inst[s][threads]);
       }
-      if (threads == 1) base_effective = eff_stats.Mean();
-      double speedup =
-          eff_stats.Mean() > 0 ? base_effective / eff_stats.Mean() : 1.0;
+      if (threads == 1) base_wall = wall_stats.Mean();
+      double speedup = wall_stats.Mean() > 0 ? base_wall / wall_stats.Mean() : 1.0;
       table.AddRow({method.name, std::to_string(threads),
-                    Fmt1(wall_stats.Mean() * 1000), Fmt1(eff_stats.Mean() * 1000),
-                    Fmt1(speedup) + "x", std::to_string(timeouts)});
+                    Fmt1(wall_stats.Mean() * 1000), Fmt1(speedup) + "x",
+                    std::to_string(timeouts)});
     }
   }
 
@@ -137,16 +115,10 @@ int Main() {
         ++timeouts;
       }
     }
-    table.AddRow({"NewDetKDecomp", "1", Fmt1(stats.Mean() * 1000),
-                  Fmt1(stats.Mean() * 1000), "1.0x", std::to_string(timeouts)});
+    table.AddRow({"NewDetKDecomp", "1", Fmt1(stats.Mean() * 1000), "1.0x",
+                  std::to_string(timeouts)});
   }
   std::printf("%s\n", table.Render().c_str());
-  if (!real_threads) {
-    std::printf(
-        "note: effective time = wall * simulated-makespan / total-work; wall\n"
-        "itself cannot decrease on 1-CPU hardware. Rerun with\n"
-        "HTD_FIG1_REAL_THREADS=1 on a multicore machine for wall-clock scaling.\n");
-  }
   return 0;
 }
 

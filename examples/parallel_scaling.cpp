@@ -4,36 +4,33 @@
 // threads with no inter-thread communication (§D.1). This example refutes
 // "hw ≤ 2" on a hard negative instance — the workload Figure 1 shows scales
 // best ("instances where the search for separators dominates") — once per
-// worker count and reports the scaling the partition achieves.
+// worker count and reports the measured wall-clock speedup. Worker counts
+// stop at this host's hardware threads; bench/figure1_scaling runs the full
+// study (README.md, "Reproducing the paper").
 //
-// On a single-core container, wall-clock cannot drop; pass the partition-
-// simulation flag instead (default here) to report the modelled critical
-// path of the same chunk schedule; run with HTD_EXAMPLE_REAL_THREADS=1 on a
-// multicore machine for real wall-clock numbers.
-//
-//   $ ./build/examples/parallel_scaling
+//   $ ./build/parallel_scaling
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <thread>
 
 #include "core/log_k_decomp.h"
 #include "hypergraph/generators.h"
 
 int main() {
-  const bool real_threads = std::getenv("HTD_EXAMPLE_REAL_THREADS") != nullptr;
-
   // A deep refutation: K5 at k = 2 exhausts ~3*10^5 separator candidates
   // through many recursion levels — the workload Figure 1 scales best on.
   htd::Hypergraph graph = htd::MakeClique(5);
+  const int max_workers =
+      std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 1, 6);
 
-  std::printf("refuting hw <= 2 on K5, |E| = %d (%s mode)\n\n",
-              graph.num_edges(), real_threads ? "real threads" : "simulation");
+  std::printf("refuting hw <= 2 on K5, |E| = %d, wall clock on real threads\n\n",
+              graph.num_edges());
   std::printf("workers  time (ms)  speedup\n");
 
   double base_ms = 0.0;
-  for (int workers = 1; workers <= 6; ++workers) {
+  for (int workers = 1; workers <= max_workers; ++workers) {
     htd::SolveOptions options;
     options.num_threads = workers;
-    options.simulate_partition = !real_threads;
     options.parallel_min_size = 4;
     htd::LogKDecomp solver(options);
     htd::SolveResult result = solver.Solve(graph, 2);
@@ -43,19 +40,7 @@ int main() {
     }
     double ms = result.stats.seconds * 1000.0;
     if (workers == 1) base_ms = ms;
-    if (!real_threads && result.stats.work_total > 0) {
-      // Simulation mode: the chunk schedule's modelled critical path, priced
-      // with the measured one-worker wall time so run-to-run timing noise
-      // does not masquerade as speedup (DESIGN.md §4.3).
-      ms = base_ms * static_cast<double>(result.stats.work_parallel) /
-           static_cast<double>(result.stats.work_total);
-    }
-    std::printf("%7d  %9.1f  %6.2fx\n", workers, ms,
-                ms > 0 ? base_ms / ms : 0.0);
+    std::printf("%7d  %9.1f  %6.2fx\n", workers, ms, ms > 0 ? base_ms / ms : 0.0);
   }
-  std::printf("\n(%s)\n", real_threads
-                              ? "wall-clock with genuine worker threads"
-                              : "modelled critical path; see bench/figure1_scaling "
-                                "for the full study");
   return 0;
 }

@@ -19,43 +19,6 @@ namespace {
 // ring buffers.
 constexpr int kMaxTracedDepth = 6;
 
-// Models "the subproblems are independent of each other and are therefore
-// processed in parallel" (§D.1) in partition-simulation mode: the effective
-// cost of each sibling recursive call is measured, the set of costs is
-// list-scheduled onto the virtual workers, and the effective counter
-// collapses to the resulting makespan (plus any serial glue between calls).
-// In real-thread mode this is a no-op.
-class SiblingCollapse {
- public:
-  SiblingCollapse(bool enabled, int workers)
-      : enabled_(enabled && workers > 1),
-        workers_(workers),
-        base_(CurrentEffectiveSteps()),
-        child_start_(base_) {}
-
-  void BeginChild() { child_start_ = CurrentEffectiveSteps(); }
-  void EndChild() { costs_.push_back(CurrentEffectiveSteps() - child_start_); }
-
-  void Finish() {
-    if (!enabled_ || costs_.size() < 2) return;
-    std::vector<long> load(workers_, 0);
-    for (long cost : costs_) {
-      *std::min_element(load.begin(), load.end()) += cost;
-    }
-    long makespan = *std::max_element(load.begin(), load.end());
-    long serial_glue = CurrentEffectiveSteps() - base_;
-    for (long cost : costs_) serial_glue -= cost;
-    CollapseEffectiveSteps(base_ + std::max<long>(serial_glue, 0) + makespan);
-  }
-
- private:
-  bool enabled_;
-  int workers_;
-  long base_;
-  long child_start_;
-  std::vector<long> costs_;
-};
-
 }  // namespace
 
 LogKEngine::LogKEngine(const Hypergraph& graph, SpecialEdgeRegistry& registry, int k,
@@ -178,13 +141,9 @@ SearchOutcome LogKEngine::Decompose(const ExtendedSubhypergraph& comp,
   // scheduler didn't lend a flight group); the budget bounds how many slot
   // tasks this solve offers across all its concurrent search levels.
   int extra = 0;
-  int simulate_workers = 1;
-  if (options_.num_threads > 1 && comp.size() >= options_.parallel_min_size) {
-    if (options_.simulate_partition) {
-      simulate_workers = options_.num_threads;
-    } else if (budget_ != nullptr && options_.task_group != nullptr) {
-      extra = budget_->Claim(options_.num_threads - 1);
-    }
+  if (options_.num_threads > 1 && comp.size() >= options_.parallel_min_size &&
+      budget_ != nullptr && options_.task_group != nullptr) {
+    extra = budget_->Claim(options_.num_threads - 1);
   }
   // The per-recursion-level span: one "sep_search" per Decompose call near
   // the top of the tree, tagged with its depth — /v1/trace shows the
@@ -196,7 +155,7 @@ SearchOutcome LogKEngine::Decompose(const ExtendedSubhypergraph& comp,
           : util::TraceParent{},
       static_cast<uint64_t>(depth));
   SearchOutcome outcome = DriveCandidates(
-      n, k_, num_new, extra, options_.task_group, simulate_workers, stats_,
+      n, k_, num_new, extra, options_.task_group, stats_,
       [&](const std::vector<int>& subset) {
         std::vector<int> lambda_child;
         lambda_child.reserve(subset.size());
@@ -239,9 +198,6 @@ SearchOutcome LogKEngine::TryChildCandidate(const ExtendedSubhypergraph& comp,
       SplitComponents(graph_, registry_, comp, child_union);
   if (child_split.MaxComponentSize() * 2 > total) return SearchOutcome::NotFound();
 
-  const bool simulate = options_.simulate_partition && options_.num_threads > 1 &&
-                        comp.size() >= options_.parallel_min_size;
-
   // Root case (lines 15-21): if ⋃λ(c) covers the interface, c can root this
   // fragment; χ(c) = ⋃λ(c) ∩ V(H').
   if (conn.IsSubsetOf(child_union)) {
@@ -250,14 +206,11 @@ SearchOutcome LogKEngine::TryChildCandidate(const ExtendedSubhypergraph& comp,
     int root = fragment.AddNode(lambda_child, chi_child);
     fragment.SetRoot(root);
     bool failed = false;
-    SiblingCollapse collapse(simulate, options_.num_threads);
     for (size_t i = 0; i < child_split.components.size() && !failed; ++i) {
       util::DynamicBitset child_conn =
           child_split.component_vertices[i] & chi_child;
-      collapse.BeginChild();
       SearchOutcome sub = Decompose(child_split.components[i], child_conn, allowed,
                                     depth + 1);
-      collapse.EndChild();
       if (sub.status == SearchStatus::kStopped) return sub;
       if (sub.status == SearchStatus::kNotFound) {
         failed = true;
@@ -265,7 +218,6 @@ SearchOutcome LogKEngine::TryChildCandidate(const ExtendedSubhypergraph& comp,
       }
       fragment.Graft(sub.fragment, root);
     }
-    collapse.Finish();
     if (!failed) {
       // Special edges fully covered by χ(c) become leaf children of c
       // (Definition 3.3, conditions 2b/5).
@@ -337,20 +289,15 @@ SearchOutcome LogKEngine::TryChildCandidate(const ExtendedSubhypergraph& comp,
     if (down_split.MaxComponentSize() * 2 > total) return SearchOutcome::NotFound();
 
     // Recursive calls for the components below c and for the "up" problem —
-    // all independent subproblems (processed in parallel per §D.1; the
-    // collapse models that in simulation mode).
-    SiblingCollapse collapse(simulate, options_.num_threads);
+    // all independent subproblems (processed in parallel per §D.1).
     std::vector<Fragment> below;
     below.reserve(down_split.components.size());
     for (size_t i = 0; i < down_split.components.size(); ++i) {
       util::DynamicBitset sub_conn = down_split.component_vertices[i] & chi_child;
-      collapse.BeginChild();
       SearchOutcome sub =
           Decompose(down_split.components[i], sub_conn, allowed, depth + 1);
-      collapse.EndChild();
       if (sub.status == SearchStatus::kStopped) return sub;
       if (sub.status == SearchStatus::kNotFound) {
-        collapse.Finish();
         return SearchOutcome::NotFound();  // reject this parent
       }
       below.push_back(std::move(sub.fragment));
@@ -382,10 +329,7 @@ SearchOutcome LogKEngine::TryChildCandidate(const ExtendedSubhypergraph& comp,
     });
     for (int e : to_remove) allowed_up.Reset(e);
 
-    collapse.BeginChild();
     SearchOutcome up = Decompose(comp_up, conn, allowed_up, depth + 1);
-    collapse.EndChild();
-    collapse.Finish();
     if (up.status == SearchStatus::kStopped) return up;
     if (up.status == SearchStatus::kNotFound) {
       return SearchOutcome::NotFound();  // reject this parent
@@ -409,10 +353,9 @@ SearchOutcome LogKEngine::TryChildCandidate(const ExtendedSubhypergraph& comp,
 
   // The pair search over λ(p) shares the separator search's partitioning
   // (the paper's parallelisation covers the whole (p, c) pair space); here
-  // it is driven sequentially and contributes to the partition simulation.
+  // it is driven sequentially, inside the ChildLoop slot that owns λ(c).
   return DriveCandidates(parent_n, k_, parent_new, /*extra_workers=*/0,
-                         /*group=*/nullptr, simulate ? options_.num_threads : 1,
-                         stats_, try_parent);
+                         /*group=*/nullptr, stats_, try_parent);
 }
 
 SolveResult LogKDecomp::Solve(const Hypergraph& graph, int k) {
@@ -437,8 +380,7 @@ SolveResult LogKDecomp::Solve(const Hypergraph& graph, int k) {
                               : util::Executor::Global().num_workers();
   }
   std::unique_ptr<util::TaskGroup> own_group;
-  if (options.num_threads > 1 && !options.simulate_partition &&
-      options.task_group == nullptr) {
+  if (options.num_threads > 1 && options.task_group == nullptr) {
     own_group = std::make_unique<util::TaskGroup>(util::Executor::Global(),
                                                   options.cancel);
     options.task_group = own_group.get();
@@ -457,22 +399,10 @@ SolveResult LogKDecomp::Solve(const Hypergraph& graph, int k) {
 
   ExtendedSubhypergraph full = ExtendedSubhypergraph::FullGraph(graph);
   util::DynamicBitset empty_conn(graph.num_vertices());
-  const long steps_before = CurrentSearchSteps();
-  const long effective_before = CurrentEffectiveSteps();
   SearchOutcome outcome = engine.Decompose(full, empty_conn, graph.AllEdges(), 0);
 
   result.stats = counters.Snapshot();
   result.stats.seconds = timer.ElapsedSeconds();
-  if (options.simulate_partition) {
-    // Whole-solve partition metric: raw work vs modelled critical path, with
-    // Brent's bound work/T as the floor (see search_steps.h).
-    long total = CurrentSearchSteps() - steps_before;
-    long effective = CurrentEffectiveSteps() - effective_before;
-    long floor = (total + options.num_threads - 1) / std::max(1, options.num_threads);
-    result.stats.work_total = total;
-    result.stats.work_parallel = std::max(effective, floor);
-    CollapseEffectiveSteps(effective_before + result.stats.work_parallel);
-  }
   switch (outcome.status) {
     case SearchStatus::kStopped:
       result.outcome = Outcome::kCancelled;

@@ -68,12 +68,6 @@ struct SolveOptions {
   /// variant (the contention exhibit of bench/ablation_prep_cache.cc).
   int cache_shards = 16;
 
-  /// If true, the separator search runs sequentially but computes the
-  /// makespan its chunk scheduling would achieve on `num_threads` workers
-  /// (reported via work_parallel). Used to measure parallel-partition
-  /// quality on machines without enough physical cores (DESIGN.md §4).
-  bool simulate_partition = false;
-
   /// Cross-instance subproblem memoization (service/subproblem_store.h).
   /// Not owned; one store is meant to be shared by many solves, possibly
   /// concurrently — the store stripes its own locking. nullptr = off.
@@ -99,9 +93,10 @@ struct SolveStats {
   /// dominated failures short-circuited / fragments reused without search.
   long store_negative_hits = 0;
   long store_positive_hits = 0;
-  /// Parallel-scaling accounting (DESIGN.md §4.3): total candidates vs. the
-  /// per-search maximum over workers, summed. Their ratio estimates the
-  /// speedup the search-space partitioning achieves with perfect cores.
+  /// Parallel-scaling accounting (core/search_steps.h): total candidates vs.
+  /// the per-search maximum over slots, summed. Their ratio estimates the
+  /// speedup the search-space partitioning achieves with perfect cores; a
+  /// sequential solve (num_threads = 1) reads exactly 1.
   long work_total = 0;
   long work_parallel = 0;
   double seconds = 0.0;

@@ -36,9 +36,9 @@ util::StatusOr<SolverFactoryFn> MakeSolverFactory(const std::string& name);
 /// the per-run negative cache and the presence of a cross-instance
 /// subproblem store, which can swap one valid decomposition for another).
 /// Used as the config component of result-cache keys; deliberately EXCLUDES
-/// execution-only knobs (num_threads, cancel, validate_result,
-/// parallel_min_size, simulate_partition) so e.g. a 1-thread and an 8-thread
-/// run share cache entries.
+/// execution-only knobs (num_threads, task_group, cancel, validate_result,
+/// parallel_min_size, cache_shards, trace ids) so e.g. a 1-thread and an
+/// 8-thread run share cache entries.
 uint64_t SolverConfigDigest(const std::string& name, const SolveOptions& options);
 
 }  // namespace htd

@@ -38,8 +38,8 @@ TEST(DriveCandidatesTest, SequentialExploresEverything) {
   StatsCounters stats;
   std::set<std::vector<int>> seen;
   SearchOutcome outcome = DriveCandidates(
-      5, 2, 5, /*extra_workers=*/0, /*group=*/nullptr, /*simulate_workers=*/1,
-      stats, [&](const std::vector<int>& subset) {
+      5, 2, 5, /*extra_workers=*/0, /*group=*/nullptr, stats,
+      [&](const std::vector<int>& subset) {
         AddSearchStep();
         seen.insert(subset);
         return SearchOutcome::NotFound();
@@ -57,7 +57,7 @@ TEST(DriveCandidatesTest, ParallelExploresEverything) {
   util::Executor executor(4);
   util::TaskGroup group(executor);
   SearchOutcome outcome = DriveCandidates(
-      6, 3, 6, /*extra_workers=*/3, &group, /*simulate_workers=*/1, stats,
+      6, 3, 6, /*extra_workers=*/3, &group, stats,
       [&](const std::vector<int>& subset) {
         AddSearchStep();
         std::lock_guard<std::mutex> lock(mutex);
@@ -70,29 +70,10 @@ TEST(DriveCandidatesTest, ParallelExploresEverything) {
   EXPECT_LE(stats.work_parallel.load(), stats.work_total.load());
 }
 
-TEST(DriveCandidatesTest, PartitionSimulationBalancesUniformWork) {
-  // Sequential run with 4 simulated workers over uniform-cost candidates:
-  // the simulated makespan must be close to total/4.
-  StatsCounters stats;
-  SearchOutcome outcome = DriveCandidates(
-      10, 2, 10, /*extra_workers=*/0, /*group=*/nullptr, /*simulate_workers=*/4,
-      stats,
-      [&](const std::vector<int>&) {
-        AddSearchStep();
-        return SearchOutcome::NotFound();
-      });
-  EXPECT_EQ(outcome.status, SearchStatus::kNotFound);
-  long total = stats.work_total.load();
-  long makespan = stats.work_parallel.load();
-  EXPECT_EQ(total, 10 + 45);
-  EXPECT_GE(makespan, (total + 3) / 4);
-  EXPECT_LE(makespan, total / 3);  // clearly better than 3 workers' ideal
-}
-
 TEST(DriveCandidatesTest, FirstLimitRestrictsFirstElement) {
   StatsCounters stats;
   std::set<std::vector<int>> seen;
-  DriveCandidates(5, 2, 2, 0, nullptr, 1, stats, [&](const std::vector<int>& subset) {
+  DriveCandidates(5, 2, 2, 0, nullptr, stats, [&](const std::vector<int>& subset) {
     seen.insert(subset);
     return SearchOutcome::NotFound();
   });
@@ -110,7 +91,7 @@ TEST(DriveCandidatesTest, FoundStopsSearch) {
   marker.SetRoot(node);
   std::atomic<int> calls{0};
   SearchOutcome outcome = DriveCandidates(
-      8, 2, 8, 0, nullptr, 1, stats, [&](const std::vector<int>& subset) {
+      8, 2, 8, 0, nullptr, stats, [&](const std::vector<int>& subset) {
         calls.fetch_add(1);
         if (subset == std::vector<int>{1}) {
           Fragment copy = marker;
@@ -131,7 +112,7 @@ TEST(DriveCandidatesTest, ParallelFindsResult) {
   util::Executor executor(4);
   util::TaskGroup group(executor);
   SearchOutcome outcome = DriveCandidates(
-      10, 2, 10, 3, &group, 1, stats, [&](const std::vector<int>& subset) {
+      10, 2, 10, 3, &group, stats, [&](const std::vector<int>& subset) {
         if (subset.size() == 2 && subset[0] == 4 && subset[1] == 7) {
           Fragment copy = marker;
           return SearchOutcome::Found(std::move(copy));
@@ -154,14 +135,14 @@ TEST(DriveCandidatesTest, LosingSlotStopsOnceTheLevelIsDecided) {
   const Clock::time_point start = Clock::now();
   auto capped = [&] { return Clock::now() - start > std::chrono::seconds(10); };
   SearchOutcome outcome = DriveCandidates(
-      2, 1, 2, /*extra_workers=*/1, &group, 1, stats,
+      2, 1, 2, /*extra_workers=*/1, &group, stats,
       [&](const std::vector<int>& subset) {
         if (subset[0] == 1) {
           Fragment copy = marker;
           return SearchOutcome::Found(std::move(copy));
         }
         // A nested search that ends only when told to stop.
-        return DriveCandidates(1, 1, 1, 0, nullptr, 1, stats,
+        return DriveCandidates(1, 1, 1, 0, nullptr, stats,
                                [&](const std::vector<int>&) {
                                  while (!SearchLevelDecided() && !capped()) {
                                    std::this_thread::sleep_for(
@@ -189,7 +170,7 @@ TEST(DriveCandidatesTest, NestedParallelLevelCutShortReportsStopped) {
   auto capped = [&] { return Clock::now() - start > std::chrono::seconds(10); };
   std::atomic<int> nested_status{-1};
   SearchOutcome outcome = DriveCandidates(
-      2, 1, 2, /*extra_workers=*/1, &group, 1, stats,
+      2, 1, 2, /*extra_workers=*/1, &group, stats,
       [&](const std::vector<int>& subset) {
         if (subset[0] == 1) {
           Fragment copy = marker;
@@ -198,7 +179,7 @@ TEST(DriveCandidatesTest, NestedParallelLevelCutShortReportsStopped) {
         // Each nested candidate fails once the outer level is decided; the
         // nested slots then leave with candidates still untried.
         SearchOutcome nested = DriveCandidates(
-            50, 1, 50, /*extra_workers=*/1, &group, 1, stats,
+            50, 1, 50, /*extra_workers=*/1, &group, stats,
             [&](const std::vector<int>&) {
               while (!SearchLevelDecided() && !capped()) {
                 std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -216,7 +197,7 @@ TEST(DriveCandidatesTest, NestedParallelLevelCutShortReportsStopped) {
 TEST(DriveCandidatesTest, StoppedPropagates) {
   StatsCounters stats;
   SearchOutcome outcome =
-      DriveCandidates(5, 2, 5, 0, nullptr, 1, stats, [&](const std::vector<int>&) {
+      DriveCandidates(5, 2, 5, 0, nullptr, stats, [&](const std::vector<int>&) {
         return SearchOutcome::Stopped();
       });
   EXPECT_EQ(outcome.status, SearchStatus::kStopped);
@@ -224,7 +205,7 @@ TEST(DriveCandidatesTest, StoppedPropagates) {
 
 TEST(DriveCandidatesTest, EmptySpace) {
   StatsCounters stats;
-  SearchOutcome outcome = DriveCandidates(0, 2, 0, 0, nullptr, 1, stats,
+  SearchOutcome outcome = DriveCandidates(0, 2, 0, 0, nullptr, stats,
                                           [&](const std::vector<int>&) {
                                             ADD_FAILURE() << "must not be called";
                                             return SearchOutcome::NotFound();
@@ -259,16 +240,25 @@ TEST_P(ParallelLogKTest, ParallelMatchesSequential) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelLogKTest, ::testing::Range(0, 10));
 
-TEST(ParallelLogKStatsTest, WorkAccountingIsConsistent) {
+class ParallelLogKStatsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelLogKStatsTest, WorkAccountingIsConsistent) {
   SolveOptions options;
-  options.num_threads = 4;
+  options.num_threads = GetParam();
   options.parallel_min_size = 4;
   LogKDecomp solver(options);
   SolveResult result = solver.Solve(MakeGrid(3, 4), 2);
   EXPECT_GT(result.stats.work_total, 0);
   EXPECT_GT(result.stats.work_parallel, 0);
   EXPECT_LE(result.stats.work_parallel, result.stats.work_total);
+  // One worker is its own longest slot: the 1.0x baseline that the
+  // work_total / work_parallel speedup estimate divides by.
+  if (GetParam() == 1) {
+    EXPECT_EQ(result.stats.work_parallel, result.stats.work_total);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(Threads, ParallelLogKStatsTest, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace htd

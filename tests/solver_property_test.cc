@@ -1,6 +1,11 @@
 // Differential property tests: all solvers must agree on hw(H) <= k, every
-// constructed HD must validate, and decisions must be monotone in k.
+// constructed HD must validate, decisions must be monotone in k, and
+// log-k-decomp's recursion depth must stay within the paper's logarithmic
+// bound (Theorem 4.1).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "baselines/det_k_decomp.h"
 #include "core/hybrid.h"
@@ -35,21 +40,37 @@ TEST_P(CrossSolverTest, AllSolversAgreeAndHdsValidate) {
 
   DetKDecomp det_k;
   LogKDecomp log_k;
+  SolveOptions threaded;
+  threaded.num_threads = 4;
+  threaded.parallel_min_size = 4;  // force parallel paths
+  LogKDecomp log_k_threaded(threaded);
   std::unique_ptr<HdSolver> hybrid =
       MakeHybridSolver(HybridMetric::kEdgeCount, /*threshold=*/5.0);
+  // Theorem 4.1: every recursive call at least halves the subproblem.
+  const int depth_bound =
+      static_cast<int>(std::ceil(std::log2(std::max(1, graph.num_edges())))) + 1;
 
   Outcome previous = Outcome::kNo;
   for (int k = 1; k <= 4; ++k) {
     SolveResult det_result = det_k.Solve(graph, k);
     SolveResult log_result = log_k.Solve(graph, k);
+    SolveResult threaded_result = log_k_threaded.Solve(graph, k);
     SolveResult hybrid_result = hybrid->Solve(graph, k);
 
     EXPECT_EQ(det_result.outcome, log_result.outcome)
         << "det-k vs log-k disagree, seed=" << seed << " k=" << k;
+    EXPECT_EQ(det_result.outcome, threaded_result.outcome)
+        << "det-k vs threaded log-k disagree, seed=" << seed << " k=" << k;
     EXPECT_EQ(det_result.outcome, hybrid_result.outcome)
         << "det-k vs hybrid disagree, seed=" << seed << " k=" << k;
+    for (const SolveResult* result : {&log_result, &threaded_result}) {
+      EXPECT_LE(result->stats.max_recursion_depth, depth_bound)
+          << "|E|=" << graph.num_edges() << " seed=" << seed << " k=" << k
+          << (result == &threaded_result ? " (threaded)" : "");
+    }
 
-    for (const SolveResult* result : {&det_result, &log_result, &hybrid_result}) {
+    for (const SolveResult* result :
+         {&det_result, &log_result, &threaded_result, &hybrid_result}) {
       if (result->outcome == Outcome::kYes) {
         ASSERT_TRUE(result->decomposition.has_value());
         Validation validation = ValidateHdWithWidth(graph, *result->decomposition, k);

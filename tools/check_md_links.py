@@ -13,12 +13,19 @@ reference-style definitions, and fails if
 External schemes (http, https, mailto) are ignored; fenced code blocks are
 skipped so code samples cannot produce false positives.
 
+It also fails if a file under src/, bench/, examples/, tests/, tools/ or
+perfbench/ cites a document — a `*.md` token whose base name starts with
+a capital letter, optionally with a directory prefix — that matches no
+tracked file: `docs/SERVER.md` must be that path, a bare `README.md`
+must be the base name of some tracked file.
+
 Usage: python3 tools/check_md_links.py [repo_root]
 Exit status: 0 if every intra-repo link and anchor resolves, 1 otherwise.
 """
 
 import os
 import re
+import subprocess
 import sys
 
 SKIP_DIRS = {".git", "build", "build-tsan", "node_modules"}
@@ -28,6 +35,8 @@ EXTERNAL = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")
 HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 MD_LINK_TEXT = re.compile(r"\[([^\]]*)\]\([^)]*\)")
 SLUG_STRIP = re.compile(r"[^\w\- ]")
+CODE_DIRS = ("src", "bench", "examples", "tests", "tools", "perfbench")
+DOC_CITATION = re.compile(r"(?<![\w./-])((?:[\w-]+/)*[A-Z][\w-]*\.md)\b")
 
 
 def find_markdown_files(root):
@@ -87,6 +96,50 @@ def anchors_in(path):
     return anchors
 
 
+def tracked_files(root):
+    """Repository-relative paths of the tracked files (a directory walk
+    outside build trees when git is unavailable)."""
+    try:
+        listing = subprocess.run(
+            ["git", "-C", root, "ls-files", "-z"], check=True,
+            capture_output=True).stdout.decode("utf-8")
+        return [path for path in listing.split("\0") if path]
+    except (OSError, subprocess.CalledProcessError):
+        paths = []
+        for dirpath, dirnames, filenames in os.walk(root):
+            dirnames[:] = [
+                d for d in dirnames
+                if d not in SKIP_DIRS and not d.startswith("build")
+            ]
+            paths.extend(os.path.relpath(os.path.join(dirpath, name), root)
+                         for name in filenames)
+        return paths
+
+
+def missing_doc_citations(root):
+    """(file, line, citation) for every document cited in code that matches
+    no tracked file."""
+    tracked = [path.replace(os.sep, "/") for path in tracked_files(root)]
+    tracked_paths = set(tracked)
+    tracked_names = {path.rsplit("/", 1)[-1] for path in tracked}
+    missing = []
+    for path in tracked:
+        if path.split("/", 1)[0] not in CODE_DIRS:
+            continue
+        try:
+            with open(os.path.join(root, path), encoding="utf-8") as handle:
+                lines = handle.readlines()
+        except (OSError, UnicodeDecodeError):
+            continue  # binary or vanished: nothing to cite
+        for line_number, line in enumerate(lines, start=1):
+            for citation in DOC_CITATION.findall(line):
+                known = (citation in tracked_paths if "/" in citation
+                         else citation in tracked_names)
+                if not known:
+                    missing.append((path, line_number, citation))
+    return missing
+
+
 def main():
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
     anchor_cache = {}
@@ -121,6 +174,7 @@ def main():
                 if fragment.lower() not in anchors_of(resolved):
                     dangling.append(
                         (os.path.relpath(md_file, root), line_number, target))
+    missing = missing_doc_citations(root)
     status = 0
     if dead:
         print("dead intra-repo links:")
@@ -132,9 +186,14 @@ def main():
         for md_file, line_number, target in dangling:
             print(f"  {md_file}:{line_number}: {target}")
         status = 1
+    if missing:
+        print("documents cited in code that match no tracked file:")
+        for path, line_number, citation in missing:
+            print(f"  {path}:{line_number}: {citation}")
+        status = 1
     if status == 0:
         print(f"ok: {checked} intra-repo links and {anchors_checked} anchors "
-              f"resolve")
+              f"resolve, and every document cited in code exists")
     return status
 
 
