@@ -4,7 +4,7 @@
 // binaries scale from CI smoke run to full study:
 //   HTD_BENCH_TIMEOUT   per-instance timeout in seconds (default varies)
 //   HTD_BENCH_SCALE     corpus replication factor (default 1)
-//   HTD_BENCH_THREADS   worker threads for parallel solvers (default 4)
+//   HTD_BENCH_THREADS   worker threads for parallel solvers (default 1)
 //   HTD_BENCH_MAX_WIDTH widest k probed (default 10, as in the paper)
 #pragma once
 
@@ -80,15 +80,20 @@ inline Campaign RunExactCampaign(const std::vector<Instance>& corpus,
   return campaign;
 }
 
+/// Title, corpus and protocol knobs. A harness that sweeps its own core
+/// counts passes `sweeps_threads` and leaves HTD_BENCH_THREADS out: it
+/// does not use it.
 inline void PrintPreamble(const char* title, const RunConfig& config,
-                          size_t corpus_size) {
+                          size_t corpus_size, bool sweeps_threads = false) {
   std::printf("=== %s ===\n", title);
   std::printf(
       "corpus: %zu instances (HyperBench-like synthetic stand-in; see "
       "README.md, \"Reproducing the paper\")\n",
       corpus_size);
-  std::printf("timeout: %.2fs/instance, max width %d, %d thread(s)\n\n",
-              config.timeout_seconds, config.max_width, config.num_threads);
+  std::printf("timeout: %.2fs/instance, max width %d", config.timeout_seconds,
+              config.max_width);
+  if (!sweeps_threads) std::printf(", %d thread(s)", config.num_threads);
+  std::printf("\n\n");
 }
 
 }  // namespace htd::bench

@@ -25,7 +25,7 @@ int Main() {
   corpus_config.scale = CorpusScaleFromEnv();
   std::vector<Instance> corpus = BuildHyperBenchLikeCorpus(corpus_config);
   PrintPreamble("Figure 1: scaling with the number of cores (HB_large)", config,
-                corpus.size());
+                corpus.size(), /*sweeps_threads=*/true);
   const int hardware = static_cast<int>(std::thread::hardware_concurrency());
   const int max_threads = std::clamp(hardware, 1, 5);
   std::printf("wall clock on real threads: cores 1..%d (host reports %d)\n\n",

@@ -20,6 +20,29 @@ struct SearchLevel {
 
 thread_local const SearchLevel* tl_search_level = nullptr;
 
+/// Search frames (sequential searches and slot bodies) open on this thread.
+thread_local int tl_search_frames = 0;
+
+/// One search frame: the steps this thread takes inside it. Only the
+/// outermost frame on a thread credits them — an inner frame's steps are
+/// already part of the enclosing frame's delta — so every step is counted
+/// exactly once, on the thread that took it.
+class SearchFrame {
+ public:
+  SearchFrame()
+      : outermost_(tl_search_frames++ == 0), start_(CurrentSearchSteps()) {}
+  ~SearchFrame() { --tl_search_frames; }
+  SearchFrame(const SearchFrame&) = delete;
+  SearchFrame& operator=(const SearchFrame&) = delete;
+
+  bool outermost() const { return outermost_; }
+  long steps() const { return CurrentSearchSteps() - start_; }
+
+ private:
+  bool outermost_;
+  long start_;
+};
+
 /// Installs a level for one slot body and restores the outer one on exit,
 /// exceptions included.
 class InstallLevel {
@@ -73,7 +96,7 @@ SearchOutcome DriveCandidates(int n, int k, int first_limit, int extra_workers,
     // Sequential: chunks in deterministic (size, first) order. One worker
     // does everything, so the step delta (each candidate's full nested
     // cost, see search_steps.h) is both the total and the longest share.
-    const long steps_before = CurrentSearchSteps();
+    const SearchFrame frame;
     SearchOutcome outcome = SearchOutcome::NotFound();
     for (size_t c = 0; c < chunks.size() && outcome.status == SearchStatus::kNotFound;
          ++c) {
@@ -82,15 +105,19 @@ SearchOutcome DriveCandidates(int n, int k, int first_limit, int extra_workers,
         outcome = try_candidate(enumerator.indices());
       }
     }
-    const long steps = CurrentSearchSteps() - steps_before;
-    stats.work_total.fetch_add(steps, std::memory_order_relaxed);
-    stats.work_parallel.fetch_add(steps, std::memory_order_relaxed);
+    if (frame.outermost()) {
+      stats.work_total.fetch_add(frame.steps(), std::memory_order_relaxed);
+      stats.work_parallel.fetch_add(frame.steps(), std::memory_order_relaxed);
+    }
     return outcome;
   }
 
   // Parallel: slot tasks claim chunks from an atomic cursor; the first
   // kFound/kStopped outcome wins and stops everyone at the next candidate.
   const int num_workers = extra_workers + 1;
+  // Only a level that is outermost on its thread credits its longest slot:
+  // a nested level's slots are inside some enclosing slot's share already.
+  const bool outermost_level = tl_search_frames == 0;
   std::atomic<size_t> next_chunk{0};
   std::atomic<int> done{0};  // 0 = running, 1 = found/stopped
   std::mutex result_mutex;
@@ -106,7 +133,7 @@ SearchOutcome DriveCandidates(int n, int k, int first_limit, int extra_workers,
     // One span per worker: duration is the worker's whole share of this
     // level's search, so a trace shows how evenly the chunks divided.
     util::TraceScope span("sep_worker", trace, static_cast<uint64_t>(slot));
-    const long steps_before = CurrentSearchSteps();
+    const SearchFrame frame;
     auto search = [&] {
       while (!SearchLevelDecided()) {
         size_t chunk_index = next_chunk.fetch_add(1, std::memory_order_relaxed);
@@ -132,7 +159,11 @@ SearchOutcome DriveCandidates(int n, int k, int first_limit, int extra_workers,
       }
     };
     search();
-    work[slot] = CurrentSearchSteps() - steps_before;
+    work[slot] = frame.steps();
+    // A slot stolen onto a thread outside any search is outermost there.
+    if (frame.outermost()) {
+      stats.work_total.fetch_add(work[slot], std::memory_order_relaxed);
+    }
   };
 
   // The extra slots go into a nested group so this call waits only on its
@@ -149,14 +180,10 @@ SearchOutcome DriveCandidates(int n, int k, int first_limit, int extra_workers,
     local.Wait();
   }
 
-  long total = 0;
-  long max_work = 0;
-  for (long w : work) {
-    total += w;
-    max_work = std::max(max_work, w);
+  if (outermost_level) {
+    stats.work_parallel.fetch_add(*std::max_element(work.begin(), work.end()),
+                                  std::memory_order_relaxed);
   }
-  stats.work_total.fetch_add(total, std::memory_order_relaxed);
-  stats.work_parallel.fetch_add(max_work, std::memory_order_relaxed);
   // Slots that saw an enclosing level's decision left without a verdict:
   // this level is unfinished, not refuted, and must not be memoised as such.
   if (result.status == SearchStatus::kNotFound && SearchLevelDecided()) {

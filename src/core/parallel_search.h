@@ -62,8 +62,11 @@ using CandidateFn = std::function<SearchOutcome(const std::vector<int>&)>;
 /// non-null: the extra slots are spawned into a nested task group under it
 /// and the calling thread drains the group inline (work-stealing workers
 /// pick up whatever it hasn't started yet). Records search-step work into
-/// `stats`: work_total accumulates every step, work_parallel the longest
-/// slot's share per search (see SolveStats). A parallel level whose slots
+/// `stats` from the frames outermost on their thread only (a sequential
+/// search or a slot body with no search open around it on the same
+/// thread), so every step is counted once: work_total accumulates every
+/// step, work_parallel the longest slot's share of each outermost search
+/// (see SolveStats). A parallel level whose slots
 /// left early because an enclosing level was decided returns kStopped,
 /// never kNotFound: it did not try every candidate.
 ///

@@ -7,7 +7,9 @@
 // DriveCandidates snapshots the executing thread's counter around each slot
 // (parallel) or the whole search (sequential), so a candidate's *entire
 // nested cost* — including recursive Decompose calls and det-k leaf work run
-// on that thread — is credited to the slot that ran it.
+// on that thread — is credited to the slot that ran it. Only the frame
+// outermost on its thread credits its delta, so a step inside nested
+// searches is counted once, not once per enclosing level.
 #pragma once
 
 namespace htd {

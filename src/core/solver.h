@@ -93,10 +93,14 @@ struct SolveStats {
   /// dominated failures short-circuited / fragments reused without search.
   long store_negative_hits = 0;
   long store_positive_hits = 0;
-  /// Parallel-scaling accounting (core/search_steps.h): total candidates vs.
-  /// the per-search maximum over slots, summed. Their ratio estimates the
-  /// speedup the search-space partitioning achieves with perfect cores; a
-  /// sequential solve (num_threads = 1) reads exactly 1.
+  /// Parallel-scaling accounting (core/search_steps.h). work_total counts
+  /// every candidate once (for log-k it equals separators_tried at any
+  /// thread count); work_parallel sums, over the searches outermost on
+  /// their thread, the longest slot's share — the steps that slot's thread
+  /// took, nested levels included unless another thread stole them. Their
+  /// ratio estimates the speedup the search-space partitioning achieves
+  /// with perfect cores; a sequential solve (num_threads = 1) reads
+  /// exactly 1.
   long work_total = 0;
   long work_parallel = 0;
   double seconds = 0.0;

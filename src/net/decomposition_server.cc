@@ -41,6 +41,14 @@ constexpr size_t kMaxRetainedJobs = 1024;
 constexpr double kMigratePushTimeoutSeconds = 300.0;
 /// Transport timeout for one anti-entropy digest or slice pull.
 constexpr double kAntiEntropyPullTimeoutSeconds = 60.0;
+/// Largest POST /v1/decompose body admitted on the event loop. Parse and
+/// canonical fingerprint grow with the graph (a 200-edge graph fingerprints
+/// in milliseconds). Renamed small CQs (|E| <= 10) take 80-470 bytes and
+/// under 60 us for both; a body this size holds about 30 edges, up to
+/// ~0.5 ms for acyclic shapes (4-core x86 host). Larger bodies
+/// are admitted on the IO pool, so a loop does not stall its other
+/// connections on a large graph.
+constexpr size_t kLoopDecomposeMaxBodyBytes = 512;
 
 /// Server-Timing header value (RFC draft syntax: name;dur=millis, comma
 /// separated) for the stage breakdown of one synchronous request.
@@ -72,6 +80,11 @@ std::optional<double> ParseTimeout(const HttpRequest& request,
 template <typename Future>
 bool Ready(const Future& future) {
   return future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+/// The response of a staged request, running the deferred rest inline.
+HttpResponse Finish(HttpServer::Staged staged) {
+  return staged.rest ? staged.rest() : std::move(staged.response);
 }
 
 /// The members of one resolved decompose job (docs/SERVER.md).
@@ -128,6 +141,43 @@ void WriteQueryAnswer(JsonWriter& json, const qa::QueryAnswer& answer) {
 using ShardState = DecompositionServer::ShardState;
 
 }  // namespace
+
+/// The "request" root span of one /v1/decompose or /v1/query. It opens on
+/// the thread that admits the request and is recorded by whichever thread
+/// finishes the answer: the loop for a hit, the IO pool for a flight that
+/// had to be waited on.
+class DecompositionServer::RequestScope {
+ public:
+  RequestScope(uint64_t id, uint64_t tag)
+      : id_(id),
+        tag_(tag),
+        armed_(util::TraceRegistry::Instance().enabled()),
+        start_ns_(armed_ ? util::TraceRegistry::Instance().NowNs() : 0) {}
+
+  uint64_t id() const { return id_; }
+
+  /// Records the span and echoes X-HTD-Request-Id, plus Server-Timing when
+  /// `server_timing` holds a synchronous answer's stage breakdown.
+  HttpResponse Finish(HttpResponse response,
+                      const std::string& server_timing = "") const {
+    if (armed_) {
+      util::RecordSpan("request", 0, id_, start_ns_,
+                       util::TraceRegistry::Instance().NowNs() - start_ns_,
+                       tag_);
+    }
+    response.headers.emplace_back("X-HTD-Request-Id", util::TraceIdHex(id_));
+    if (!server_timing.empty()) {
+      response.headers.emplace_back("Server-Timing", server_timing);
+    }
+    return response;
+  }
+
+ private:
+  uint64_t id_;
+  uint64_t tag_;
+  bool armed_;
+  uint64_t start_ns_;
+};
 
 DecompositionServer::DecompositionServer(DecompositionServerOptions options)
     : options_(std::move(options)) {}
@@ -210,9 +260,8 @@ util::StatusOr<std::unique_ptr<DecompositionServer>> DecompositionServer::Create
   }
 
   server->http_ = std::make_unique<HttpServer>(
-      server->options_.http,
-      [raw = server.get()](const HttpRequest& request) {
-        return raw->Handle(request);
+      server->options_.http, [raw = server.get()](HttpRequest request) {
+        return raw->Stage(std::move(request));
       });
   server->BindMetrics();
   return server;
@@ -255,6 +304,11 @@ void DecompositionServer::BindMetrics() {
   metrics.SetHelp("htd_antientropy_bytes_total",
                   "Slice blob bytes pulled from replica siblings.");
   ae_bytes_ = &metrics.GetCounter("htd_antientropy_bytes_total", "");
+  metrics.SetHelp("htd_connections_accepted_total",
+                  "Connections accepted over the server's lifetime.");
+  metrics.RegisterCallback(
+      "htd_connections_accepted_total", "", "counter",
+      [this] { return static_cast<double>(http_->connections_accepted()); });
   metrics.SetHelp("htd_connections_shed_total",
                   "Connections refused at the transport bound (503).");
   metrics.RegisterCallback(
@@ -394,13 +448,40 @@ util::StatusOr<service::SnapshotStats> DecompositionServer::SaveSnapshotNow() {
 }
 
 HttpResponse DecompositionServer::Handle(const HttpRequest& request) {
+  return Finish(Stage(request));
+}
+
+HttpServer::Staged DecompositionServer::Stage(HttpRequest request) {
   util::WallTimer timer;
-  HttpResponse response = Dispatch(request);
-  service_->metrics()
-      .GetHistogram("htd_request_seconds",
-                    std::string("route=\"") + RouteLabel(request.path) + "\"")
-      .Observe(timer.ElapsedSeconds());
-  return response;
+  auto shared = std::make_shared<const HttpRequest>(std::move(request));
+  HttpServer::Staged staged = LoopStage(shared);
+  util::Histogram& latency = service_->metrics().GetHistogram(
+      "htd_request_seconds",
+      std::string("route=\"") + RouteLabel(shared->path) + "\"");
+  if (!staged.rest) {
+    latency.Observe(timer.ElapsedSeconds());
+    return staged;
+  }
+  staged.rest = [rest = std::move(staged.rest), timer, &latency] {
+    HttpResponse response = rest();
+    latency.Observe(timer.ElapsedSeconds());
+    return response;
+  };
+  return staged;
+}
+
+HttpServer::Staged DecompositionServer::LoopStage(
+    const std::shared_ptr<const HttpRequest>& request) {
+  const std::string& path = request->path;
+  if (path == "/healthz" || path == "/v1/stats" || path == "/v1/metrics" ||
+      path.rfind("/v1/jobs/", 0) == 0) {
+    return {Dispatch(*request), nullptr};
+  }
+  if (path == "/v1/decompose" && request->method == "POST" &&
+      request->body.size() <= kLoopDecomposeMaxBodyBytes) {
+    return StageAdmitted(*request);
+  }
+  return {{}, [this, request] { return Dispatch(*request); }};
 }
 
 HttpResponse DecompositionServer::Dispatch(const HttpRequest& request) {
@@ -410,7 +491,8 @@ HttpResponse DecompositionServer::Dispatch(const HttpRequest& request) {
     return JsonResponse(json);
   }
   if (request.path == "/v1/decompose" || request.path == "/v1/query") {
-    return OnlyMethod(request, "POST", [&] { return HandleAdmitted(request); });
+    return OnlyMethod(request, "POST",
+                      [&] { return Finish(StageAdmitted(request)); });
   }
   if (request.path.rfind("/v1/jobs/", 0) == 0) {
     if (request.method != "GET") {
@@ -448,7 +530,8 @@ HttpResponse DecompositionServer::Dispatch(const HttpRequest& request) {
   return JsonErrorResponse(404, "unknown route: " + request.path);
 }
 
-HttpResponse DecompositionServer::HandleAdmitted(const HttpRequest& request) {
+HttpServer::Staged DecompositionServer::StageAdmitted(
+    const HttpRequest& request) {
   // Adopt the request id when a proxy (the shard router) already assigned
   // one — the fleet's spans then stitch onto one root — else mint our own.
   uint64_t request_id = 0;
@@ -457,21 +540,14 @@ HttpResponse DecompositionServer::HandleAdmitted(const HttpRequest& request) {
       !util::ParseTraceId(rid->second, &request_id)) {
     request_id = util::TraceRegistry::Instance().NextId();
   }
-  std::string server_timing;
-  HttpResponse response;
-  {
-    util::TraceScope root_span("request", util::TraceRootId{request_id},
-                               static_cast<uint64_t>(request.body.size()));
-    response = request.path == "/v1/query"
-                   ? HandleQuery(request, request_id, &server_timing)
-                   : HandleDecompose(request, request_id, &server_timing);
+  const RequestScope scope(request_id,
+                           static_cast<uint64_t>(request.body.size()));
+  if (request.path == "/v1/query") {
+    std::string server_timing;
+    HttpResponse response = HandleQuery(request, request_id, &server_timing);
+    return {scope.Finish(std::move(response), server_timing), nullptr};
   }
-  response.headers.emplace_back("X-HTD-Request-Id",
-                                util::TraceIdHex(request_id));
-  if (!server_timing.empty()) {
-    response.headers.emplace_back("Server-Timing", server_timing);
-  }
-  return response;
+  return StageDecompose(request, scope);
 }
 
 template <typename Route>
@@ -536,8 +612,8 @@ std::optional<HttpResponse> DecompositionServer::Admit(
   }
   // Admission control: shed rather than queue without bound. The counter is
   // sampled lock-free and approximate (see the header comment); overshoot
-  // on the order of the IO thread count is within the bound's semantics
-  // (docs/SERVER.md).
+  // on the order of the IO and loop thread counts is within the bound's
+  // semantics (docs/SERVER.md).
   if (TotalOutstandingJobs() >=
       static_cast<uint64_t>(options_.max_queue_depth)) {
     shed_->Add();
@@ -604,21 +680,25 @@ HttpResponse DecompositionServer::Serialise(
   return response;
 }
 
-HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
-                                                  uint64_t request_id,
-                                                  std::string* server_timing) {
+HttpServer::Staged DecompositionServer::StageDecompose(
+    const HttpRequest& request, const RequestScope& scope) {
+  const uint64_t request_id = scope.id();
+  auto done = [&](HttpResponse response) -> HttpServer::Staged {
+    return {scope.Finish(std::move(response)), nullptr};
+  };
   long k;
   if (!util::ParseIntFlag(request.QueryOr("k", ""), 1, options_.max_k, &k)) {
     bad_requests_->Add();
-    return JsonErrorResponse(
+    return done(JsonErrorResponse(
         400, "query parameter k must be an integer in [1, " +
-                 std::to_string(options_.max_k) + "]");
+                 std::to_string(options_.max_k) + "]"));
   }
   const std::optional<double> timeout =
       ParseTimeout(request, service_->options().default_timeout_seconds);
   if (!timeout.has_value()) {
     bad_requests_->Add();
-    return JsonErrorResponse(400, "query parameter timeout must be seconds >= 0");
+    return done(
+        JsonErrorResponse(400, "query parameter timeout must be seconds >= 0"));
   }
   const bool async = request.QueryOr("async", "0") == "1";
   const bool include_decomposition = request.QueryOr("decomposition", "0") == "1";
@@ -626,41 +706,51 @@ HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
   double parse_seconds = 0;
   if (auto refused =
           Admit(request, request_id, kDecomposeRoute, &graph, &parse_seconds)) {
-    return *refused;
+    return done(*std::move(refused));
   }
 
   // Sync requests ride the executor's interactive lane (a client is parked
   // on the answer); polled async jobs take the lower-priority async lane.
-  std::future<service::JobResult> future = service_->Submit(
-      *graph, static_cast<int>(k), *timeout,
-      util::TraceParent{request_id, request_id},
-      async ? util::Executor::Lane::kAsync : util::Executor::Lane::kSync);
+  // A cache hit comes back as a ready future.
+  std::shared_future<service::JobResult> job =
+      service_
+          ->Submit(*graph, static_cast<int>(k), *timeout,
+                   util::TraceParent{request_id, request_id},
+                   async ? util::Executor::Lane::kAsync
+                         : util::Executor::Lane::kSync)
+          .share();
   if (async) {
-    std::shared_future<service::JobResult> job = future.share();
-    return FileJob(
+    return done(FileJob(
         "j", {[job] { return Ready(job); },
               [job, graph, include_decomposition](JsonWriter& json) {
                 WriteResult(json.Object("result"), job.get(), *graph,
                             include_decomposition);
                 json.End();
-              }});
+              }}));
   }
 
-  const service::JobResult job = future.get();
-  double serialise_seconds = 0;
-  HttpResponse response = Serialise(
-      request_id,
-      [&](JsonWriter& json) {
-        WriteResult(json, job, *graph, include_decomposition);
-      },
-      &serialise_seconds);
-  *server_timing = ServerTiming({{"parse", parse_seconds},
-                                 {"fingerprint", job.stages.fingerprint_seconds},
-                                 {"cache", job.stages.cache_seconds},
-                                 {"schedule", job.stages.schedule_seconds},
-                                 {"solve", job.stages.solve_seconds},
-                                 {"serialise", serialise_seconds}});
-  return response;
+  auto answer = [this, scope, job, graph, include_decomposition,
+                 parse_seconds] {
+    const service::JobResult& result = job.get();
+    double serialise_seconds = 0;
+    HttpResponse response = Serialise(
+        scope.id(),
+        [&](JsonWriter& json) {
+          WriteResult(json, result, *graph, include_decomposition);
+        },
+        &serialise_seconds);
+    return scope.Finish(
+        std::move(response),
+        ServerTiming({{"parse", parse_seconds},
+                      {"fingerprint", result.stages.fingerprint_seconds},
+                      {"cache", result.stages.cache_seconds},
+                      {"schedule", result.stages.schedule_seconds},
+                      {"solve", result.stages.solve_seconds},
+                      {"serialise", serialise_seconds}}));
+  };
+  // A miss waits on its flight, and waiting belongs on the IO pool.
+  if (!Ready(job)) return {{}, answer};
+  return {answer(), nullptr};
 }
 
 HttpResponse DecompositionServer::HandleQuery(const HttpRequest& request,

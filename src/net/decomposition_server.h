@@ -72,8 +72,8 @@
 // outstanding-jobs counter without a lock, and that counter itself can
 // transiently under-count jobs mid-fan-out (see
 // BatchScheduler::outstanding_jobs), so the bound is a load-shedding
-// threshold with overshoot on the order of the IO thread count plus one
-// fan-out, not an exact semaphore.
+// threshold with overshoot on the order of the IO and loop thread counts
+// plus one fan-out, not an exact semaphore.
 //
 // Warm start: when a snapshot path is configured, Create() restores the
 // result cache and subproblem store from it (a missing file is a normal
@@ -240,6 +240,8 @@ class DecompositionServer {
   util::StatusOr<SweepResult> RunAntiEntropySweep();
 
   /// Route dispatch; public so tests can drive the server without sockets.
+  /// Runs the request's loop stage and then, on the calling thread, any
+  /// work it deferred.
   HttpResponse Handle(const HttpRequest& request);
 
   const DecompositionServerOptions& options() const { return options_; }
@@ -253,6 +255,8 @@ class DecompositionServer {
     std::function<void(JsonWriter&)> render;
   };
 
+  class RequestScope;
+
   explicit DecompositionServer(DecompositionServerOptions options);
 
   /// Binds the admission/migration/anti-entropy counters, transport and
@@ -260,18 +264,31 @@ class DecompositionServer {
   /// MetricsRegistry (called once from Create, after service_).
   void BindMetrics();
 
-  /// Route dispatch body; Handle() wraps it with the per-route latency
-  /// histogram observation.
+  /// HttpServer's stage, run on the event loop: LoopStage timed into the
+  /// per-route latency histogram, whether the answer comes from the loop
+  /// or from deferred work.
+  HttpServer::Staged Stage(HttpRequest request);
+  /// Answers on the loop what never waits: /healthz, GET /v1/jobs/<id>,
+  /// /v1/stats, /v1/metrics, and the admission and Submit of a POST
+  /// /v1/decompose of at most kLoopDecomposeMaxBodyBytes (a cache hit is
+  /// serialised there too; a miss defers only its wait). Everything else
+  /// is deferred whole to Dispatch on the IO pool.
+  HttpServer::Staged LoopStage(
+      const std::shared_ptr<const HttpRequest>& request);
+  /// Route dispatch body, every route answered on the calling thread.
   HttpResponse Dispatch(const HttpRequest& request);
 
   /// The front door of /v1/decompose and /v1/query: adopts or mints the
-  /// request id, opens the root span, runs the route's handler, and echoes
-  /// X-HTD-Request-Id and Server-Timing.
-  HttpResponse HandleAdmitted(const HttpRequest& request);
+  /// request id, opens the root span (RequestScope), runs the route, and
+  /// echoes X-HTD-Request-Id and Server-Timing. A decompose comes back
+  /// deferred when its flight has to be waited on.
+  HttpServer::Staged StageAdmitted(const HttpRequest& request);
+  /// Checks, admits and submits a decompose; a ready future (a cache hit)
+  /// or an async job is answered at once, a pending one deferred.
+  HttpServer::Staged StageDecompose(const HttpRequest& request,
+                                    const RequestScope& scope);
   /// `request_id` is the root span id; on the synchronous path
   /// `server_timing` receives the stage breakdown in Server-Timing syntax.
-  HttpResponse HandleDecompose(const HttpRequest& request, uint64_t request_id,
-                               std::string* server_timing);
   HttpResponse HandleQuery(const HttpRequest& request, uint64_t request_id,
                            std::string* server_timing);
   /// The admission both routes share, in order: the shard digest and

@@ -219,7 +219,9 @@ class EventLoop {
       Conn& conn = *it->second;
       // The completed request is history: drop it, keep pipelined bytes.
       conn.parser.Reset();
-      QueueWrite(conn, std::move(completion.bytes), completion.close);
+      if (QueueWrite(conn, std::move(completion.bytes), completion.close)) {
+        ServeNext(conn);
+      }
     }
   }
 
@@ -320,7 +322,7 @@ class EventLoop {
       return;
     }
     if ((events & EPOLLOUT) != 0 && conn.state == State::kWriting) {
-      TryFlush(conn);
+      if (TryFlush(conn)) ServeNext(conn);
       return;
     }
     if ((events & (EPOLLIN | EPOLLHUP)) != 0 &&
@@ -350,7 +352,7 @@ class EventLoop {
       auto state = conn.parser.Consume(
           std::string_view(buffer, static_cast<size_t>(n)));
       if (state == HttpRequestParser::State::kDone) {
-        Dispatch(conn);
+        if (Dispatch(conn)) ServeNext(conn);
         return;
       }
       if (state == HttpRequestParser::State::kError) {
@@ -366,21 +368,36 @@ class EventLoop {
     QueueWrite(conn, SerializeResponse(response, "close"), /*close=*/true);
   }
 
-  void Dispatch(Conn& conn) {
+  /// Runs the parsed request's loop stage. A finished response is written
+  /// at once; true when it flushed in full on a connection that stays open
+  /// (the caller then serves the next buffered request). Work that waits
+  /// goes to the IO pool, and the connection is quiescent until its
+  /// completion comes back through the inbox.
+  bool Dispatch(Conn& conn) {
     bool close = conn.parser.request().WantsClose();
-    HttpRequest request = conn.parser.TakeRequest();
+    HttpServer::Staged staged;
+    // The handler is application code; a stray exception must cost one 500,
+    // not the loop.
+    try {
+      staged = server_->handler_(conn.parser.TakeRequest());
+    } catch (...) {
+      staged = {JsonErrorResponse(500, "internal server error"), nullptr};
+    }
+    if (!staged.rest) {
+      conn.parser.Reset();
+      return QueueWrite(conn,
+                        SerializeResponse(staged.response,
+                                          close ? "close" : "keep-alive"),
+                        close);
+    }
     SetState(conn, State::kDispatched);
     conn.deadline = Clock::time_point::max();
     SetInterest(conn, 0);  // quiescent until the response comes back
-    HttpServer* server = server_;
-    server->io_pool_->Submit([server, loop = this, conn_id = conn.id,
-                              fd = conn.fd, request = std::move(request),
-                              close]() {
+    server_->io_pool_->Submit([loop = this, conn_id = conn.id, fd = conn.fd,
+                               rest = std::move(staged.rest), close]() {
       HttpResponse response;
-      // The handler is application code; a stray exception must cost one
-      // 500, not the worker.
       try {
-        response = server->handler_(request);
+        response = rest();
       } catch (...) {
         response = JsonErrorResponse(500, "internal server error");
       }
@@ -388,16 +405,44 @@ class EventLoop {
           conn_id, fd,
           SerializeResponse(response, close ? "close" : "keep-alive"), close);
     });
+    return false;
   }
 
-  void QueueWrite(Conn& conn, std::string bytes, bool close) {
+  /// After a response went out in full on a kept-alive connection: idle, or
+  /// on to the requests the last read already buffered (pipelining). Those
+  /// are answered in this loop, not by recursion, so a pipelined burst
+  /// cannot grow the stack.
+  void ServeNext(Conn& conn) {
+    while (true) {
+      if (conn.parser.buffered_bytes() == 0) {
+        SetState(conn, State::kIdle);
+        ArmDeadline(conn, Clock::now() + IdleTimeout());
+        return;
+      }
+      SetState(conn, State::kReading);
+      ArmDeadline(conn, Clock::now() + HeaderTimeout());
+      auto state = conn.parser.Continue();
+      if (state == HttpRequestParser::State::kNeedMore) return;
+      if (state == HttpRequestParser::State::kError) {
+        RespondParseError(conn);
+        return;
+      }
+      if (!Dispatch(conn)) return;
+    }
+  }
+
+  /// Starts writing `bytes`; TryFlush's result.
+  bool QueueWrite(Conn& conn, std::string bytes, bool close) {
     conn.out = std::move(bytes);
     conn.out_off = 0;
     conn.close_after_write = close || draining_;
-    TryFlush(conn);
+    return TryFlush(conn);
   }
 
-  void TryFlush(Conn& conn) {
+  /// Writes what the socket takes. True when the response is out in full
+  /// and the connection stays open (read interest re-armed); false while a
+  /// flush is pending (write interest armed) or once the connection closed.
+  bool TryFlush(Conn& conn) {
     while (conn.out_off < conn.out.size()) {
       long n = util::SendNonBlocking(
           conn.fd, std::string_view(conn.out).substr(conn.out_off));
@@ -407,11 +452,11 @@ class EventLoop {
         SetState(conn, State::kWriting);
         ArmDeadline(conn, Clock::now() + WriteTimeout());
         SetInterest(conn, EPOLLOUT);
-        return;
+        return false;
       }
       if (n < 0) {
         CloseConn(conn);
-        return;
+        return false;
       }
       conn.out_off += static_cast<size_t>(n);
       if (conn.state == State::kWriting) {
@@ -422,24 +467,10 @@ class EventLoop {
     conn.out_off = 0;
     if (conn.close_after_write) {
       CloseConn(conn);
-      return;
+      return false;
     }
-    // Keep-alive: back to reading. Pipelined bytes the previous read
-    // pulled in may already hold the next request.
     SetInterest(conn, EPOLLIN);
-    if (conn.parser.buffered_bytes() > 0) {
-      SetState(conn, State::kReading);
-      ArmDeadline(conn, Clock::now() + HeaderTimeout());
-      auto state = conn.parser.Continue();
-      if (state == HttpRequestParser::State::kDone) {
-        Dispatch(conn);
-      } else if (state == HttpRequestParser::State::kError) {
-        RespondParseError(conn);
-      }
-    } else {
-      SetState(conn, State::kIdle);
-      ArmDeadline(conn, Clock::now() + IdleTimeout());
-    }
+    return true;
   }
 
   // -- Timer wheel ---------------------------------------------------------
@@ -547,10 +578,27 @@ class EventLoop {
 
 }  // namespace internal
 
-HttpServer::HttpServer(Options options, Handler handler)
+HttpServer::HttpServer(Options options, StagedHandler handler)
     : options_(std::move(options)), handler_(std::move(handler)) {
   HTD_CHECK(handler_ != nullptr);
 }
+
+namespace {
+
+/// The stage of a blocking handler: defer everything to the IO pool.
+HttpServer::StagedHandler DeferAll(HttpServer::Handler handler) {
+  HTD_CHECK(handler != nullptr);
+  return [handler = std::move(handler)](HttpRequest request) {
+    return HttpServer::Staged{{}, [handler, request = std::move(request)] {
+                                return handler(request);
+                              }};
+  };
+}
+
+}  // namespace
+
+HttpServer::HttpServer(Options options, Handler handler)
+    : HttpServer(std::move(options), DeferAll(std::move(handler))) {}
 
 HttpServer::~HttpServer() { Stop(); }
 

@@ -9,12 +9,21 @@
 // thousands of idle keep-alive connections hold fds and parser buffers
 // while loop_threads stays at a handful.
 //
-// Handlers still BLOCK — a synchronous decompose runs for seconds — so a
-// parsed request is dispatched to the io_threads pool (util::ThreadPool)
-// exactly as in the thread-per-connection design; only the connection's
-// bytes moved into the loop. While a request is dispatched its connection
-// is quiescent in epoll; the handler's completion posts the serialised
-// response back to the owning loop through an eventfd-woken queue.
+// A parsed request runs in two stages:
+//
+//   loop thread:  read ─► parse ─► stage ─┬─► finished response ─► write
+//                                         │        (same thread, no hop)
+//                                         └─► rest ─► IO pool (may block)
+//   IO pool:      rest() ─► serialise ─► post back to the owning loop ─► write
+//
+// The stage (StagedHandler) runs on the loop that read the request and must
+// not block. It either answers at once (a health probe, a cache hit) or
+// hands back the work that waits as a closure for the io_threads pool
+// (util::ThreadPool): a synchronous solve, a cache miss waiting on its
+// flight, or any blocking Handler — the plain Handler constructor's stage
+// defers everything. While a request is deferred its connection is
+// quiescent in epoll; the pool posts the serialised response back to the
+// owning loop through an eventfd-woken queue.
 //
 // Write interest (EPOLLOUT, level-triggered) is armed only while a response
 // is partially flushed and disarmed the moment the buffer drains, so idle
@@ -28,7 +37,7 @@
 //                             reader: abandoned, slot freed
 //
 // Shutdown: Stop() stops the acceptor, closes idle connections, lets
-// dispatched handlers finish and FLUSHES their in-flight responses (bounded
+// deferred work finish and FLUSHES their in-flight responses (bounded
 // by the write timeout), then joins the loops. Idempotent; called from the
 // destructor.
 #pragma once
@@ -59,10 +68,12 @@ class HttpServer {
     /// 0 = kernel-assigned ephemeral port (tests); read it back via port().
     int port = 0;
     int backlog = 64;
-    /// Handler-executing threads (the IO pool). A synchronous request
-    /// blocks one for its full duration (including solves), so size ≥ the
-    /// expected concurrent REQUEST count. Idle connections no longer pin
-    /// these — connection count is bounded by max_connections alone.
+    /// Threads for work that waits (the IO pool): a deferred request
+    /// blocks one for its full duration (a sync solve, a cache miss, a
+    /// blocking Handler), so size ≥ the expected concurrent count of such
+    /// requests. Requests answered on the loop never touch it, and idle
+    /// connections never pin it: connection count is bounded by
+    /// max_connections alone.
     int io_threads = 8;
     /// Event-loop worker ring: threads running epoll sets. Connection I/O
     /// is cheap; a few loops drive tens of thousands of sockets.
@@ -84,17 +95,30 @@ class HttpServer {
     HttpRequestParser::Limits limits;
   };
 
+  /// What a request's loop stage hands back: the finished response, or,
+  /// when `rest` is set, the work still to do, run on the IO pool because
+  /// it waits (`response` is then unused).
+  struct Staged {
+    HttpResponse response;
+    std::function<HttpResponse()> rest;
+  };
+  /// Runs on the event loop that read the request, so it must not block;
+  /// it owns the request and may move it into `rest`.
+  using StagedHandler = std::function<Staged(HttpRequest request)>;
+  /// A handler that may block: its stage defers the whole request to the
+  /// IO pool.
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
   /// Live-connection states, sampled for the htd_connections{state=} gauges.
   struct ConnectionCounts {
     uint64_t idle = 0;        ///< keep-alive, between requests
     uint64_t reading = 0;     ///< request bytes partially received
-    uint64_t dispatched = 0;  ///< handler running on the IO pool
+    uint64_t dispatched = 0;  ///< deferred work running on the IO pool
     uint64_t writing = 0;     ///< response partially flushed
     uint64_t total() const { return idle + reading + dispatched + writing; }
   };
 
+  HttpServer(Options options, StagedHandler handler);
   HttpServer(Options options, Handler handler);
   ~HttpServer();
 
@@ -137,7 +161,7 @@ class HttpServer {
   void OnConnectionClosed();
 
   Options options_;
-  Handler handler_;
+  StagedHandler handler_;
   util::Socket listener_;
   int port_ = -1;
   std::atomic<bool> running_{false};

@@ -172,7 +172,7 @@ HttpResponse ShardRouter::ForwardToEndpoint(
     ++health_[key].forwarded;
   }
 
-  std::vector<std::pair<std::string, std::string>> headers;
+  FetchHeaders headers;
   // Single-hop marker: a router receiving this answers 508, never forwards.
   headers.emplace_back("X-HTD-Forwarded", "1");
   headers.emplace_back("X-HTD-Shard-Digest", digest_hex);
@@ -187,8 +187,8 @@ HttpResponse ShardRouter::ForwardToEndpoint(
   FetchOptions fetch;
   fetch.connect_timeout_seconds = options_.connect_timeout_seconds;
   fetch.read_timeout_seconds = read_timeout_seconds;
-  FetchResult result = HttpFetch(endpoint.host, endpoint.port, method, target,
-                                 body, headers, fetch);
+  FetchResult result = upstream_.Fetch(endpoint.host, endpoint.port, method,
+                                      target, body, headers, fetch);
   if (!result.ok()) {
     RecordFailure(key);
     switch (result.transport) {

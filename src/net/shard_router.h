@@ -49,6 +49,13 @@
 // — the router adds no retry magic to overload, clients already know how to
 // back off (docs/SERVER.md).
 //
+// Upstream connections: forwards and fan-outs run over one keep-alive
+// ConnectionPool (net/http_client.h), at most
+// ConnectionPool::kMaxIdlePerEndpoint idle sockets per backend, so a warm
+// forward costs no TCP handshake. A pooled socket the backend closed while
+// idle is retried once on a fresh connection and never counts as a
+// transport failure.
+//
 // Routes: /v1/decompose forwards to the owning shard (async job ids come
 // back prefixed "s<shard>r<replica>." so /v1/jobs/<id> can route without
 // state to the exact minting process (replicas mint independent counters) —
@@ -82,6 +89,7 @@
 #include <vector>
 
 #include "net/http.h"
+#include "net/http_client.h"
 #include "service/shard_map.h"
 #include "util/metrics.h"
 #include "util/status.h"
@@ -188,7 +196,8 @@ class ShardRouter {
   HttpResponse RouteByFingerprint(const HttpRequest& request,
                                   const service::Fingerprint& fp);
 
-  /// One blocking exchange against `endpoint` (Connection: close), with the
+  /// One blocking exchange against `endpoint` over a pooled keep-alive
+  /// connection (upstream_), with the
   /// single-hop / digest / fingerprint headers attached; `digest_hex` names
   /// the map the endpoint is addressed under. Applies the
   /// backoff gate before touching the socket and records the outcome.
@@ -287,6 +296,11 @@ class ShardRouter {
   /// Keyed "host:port" so health survives topology transitions — flipping
   /// the map must not forget which processes were down.
   std::map<std::string, EndpointHealth> health_;
+
+  /// Keep-alive connections to the backends, shared by every forward and
+  /// fan-out. Each idle one holds a connection slot of its backend's
+  /// --max-connections.
+  ConnectionPool upstream_;
 
   /// Round-robin cursor for replica selection (shared across ranges; only
   /// the modulo per range matters).

@@ -143,10 +143,13 @@ StatusOr<Socket> ConnectTcp(const std::string& host, int port,
 }
 
 void SetRecvTimeout(int fd, double seconds) {
-  if (seconds <= 0) return;
-  timeval tv;
-  tv.tv_sec = static_cast<long>(seconds);
-  tv.tv_usec = static_cast<long>((seconds - tv.tv_sec) * 1e6);
+  // A zero timeval is SO_RCVTIMEO's "no timeout": a reused socket must not
+  // keep the bound an earlier exchange set.
+  timeval tv{};
+  if (seconds > 0) {
+    tv.tv_sec = static_cast<long>(seconds);
+    tv.tv_usec = static_cast<long>((seconds - tv.tv_sec) * 1e6);
+  }
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 

@@ -65,7 +65,8 @@ AcceptOutcome AcceptPolled(int listen_fd, int timeout_ms);
 StatusOr<Socket> ConnectTcp(const std::string& host, int port,
                             double timeout_seconds);
 
-/// Sets SO_RCVTIMEO so blocking reads fail with EAGAIN after the timeout.
+/// Sets SO_RCVTIMEO so blocking reads fail with EAGAIN after the timeout;
+/// `seconds` <= 0 clears it (reads block indefinitely).
 void SetRecvTimeout(int fd, double seconds);
 
 /// Sets SO_SNDTIMEO so blocking writes to a stalled peer eventually fail.

@@ -250,7 +250,7 @@ void RecordSpan(const char* name, uint64_t parent, uint64_t root,
   TraceRegistry& reg = TraceRegistry::Instance();
   if (!reg.enabled()) return;
   TraceSpan span;
-  span.id = reg.NextId();
+  span.id = parent == 0 ? root : reg.NextId();
   span.parent = parent;
   span.root = root;
   span.start_ns = start_ns;

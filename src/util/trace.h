@@ -174,7 +174,9 @@ class TraceScope {
 };
 
 /// Records an already-measured span (used for retroactive stages such as
-/// scheduler queue wait, where no scope was open at the start).
+/// scheduler queue wait, where no scope was open at the start, and for a
+/// request's root span when its answer finishes on another thread). A span
+/// with parent 0 is a root: its id is `root`, as for TraceRootId.
 void RecordSpan(const char* name, uint64_t parent, uint64_t root,
                 uint64_t start_ns, uint64_t duration_ns, uint64_t tag = 0);
 

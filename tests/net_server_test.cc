@@ -197,6 +197,52 @@ TEST(NetServerTest, AdmissionControlShedsWith429) {
   (*server)->Stop();
 }
 
+TEST(NetServerTest, WarmHitsAnswerOnTheLoopWhileTheIoPoolWaits) {
+  DecompositionServerOptions options = BaseOptions();
+  options.http.io_threads = 1;
+  auto server = DecompositionServer::Create(options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  int port = (*server)->port();
+
+  const std::string warmed = "e1(a,b),\ne2(b,c),\ne3(c,d),\ne4(d,a).\n";
+  const std::string renamed = "r7(w,x),\nr8(x,y),\nr9(y,z),\nr6(z,w).\n";
+  ASSERT_EQ(Exchange(port, "POST", "/v1/decompose?k=2", warmed).status, 200);
+
+  // A synchronous solve that runs to its 5 s deadline holds the only IO
+  // thread for the whole wait (its body is too large to be admitted on
+  // the loop, so it is deferred whole).
+  std::string slow = WriteHyperBench(MakeClique(24));
+  std::string pin_request =
+      "POST /v1/decompose?k=4&timeout=5 HTTP/1.1\r\n"
+      "Content-Length: " + std::to_string(slow.size()) +
+      "\r\nConnection: close\r\n\r\n" + slow;
+  auto pin = util::ConnectTcp("127.0.0.1", port, /*timeout_seconds=*/120.0);
+  ASSERT_TRUE(pin.ok()) << pin.status().message();
+  ASSERT_TRUE(util::SendAll(pin->fd(), pin_request));
+  const std::string admitted = "result=\"admitted\"";
+  for (int i = 0;
+       i < 500 &&
+       Metric(**server, "htd_admission_requests_total", admitted) < 2;
+       ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+  ASSERT_EQ(Metric(**server, "htd_admission_requests_total", admitted), 2);
+
+  // The hit and the probe never need the IO pool: both come back long
+  // before the pinned solve's deadline.
+  const auto start = std::chrono::steady_clock::now();
+  WireResponse hit = Exchange(port, "POST", "/v1/decompose?k=2", renamed);
+  EXPECT_EQ(hit.status, 200);
+  EXPECT_NE(hit.body.find("\"cache_hit\": true"), std::string::npos)
+      << hit.body;
+  EXPECT_EQ(Exchange(port, "GET", "/healthz").status, 200);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 2s);
+  EXPECT_EQ(Metric(**server, "htd_connections", "state=\"dispatched\""), 1)
+      << "only the pinned solve is deferred";
+  (*server)->Stop();
+}
+
 TEST(NetServerTest, SyncFloodShedsAtTheConnectionBound) {
   DecompositionServerOptions options = BaseOptions();
   options.http.io_threads = 2;

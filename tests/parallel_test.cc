@@ -258,6 +258,18 @@ TEST_P(ParallelLogKStatsTest, WorkAccountingIsConsistent) {
   }
 }
 
+TEST_P(ParallelLogKStatsTest, WorkTotalCountsEachSeparatorOnce) {
+  // Every step is one separator tried; a candidate deep in the recursion
+  // is credited once, not once per enclosing search level.
+  SolveOptions options;
+  options.num_threads = GetParam();
+  options.parallel_min_size = 4;
+  LogKDecomp solver(options);
+  SolveResult result = solver.Solve(MakeGrid(3, 4), 2);
+  EXPECT_GT(result.stats.max_recursion_depth, 1);
+  EXPECT_EQ(result.stats.work_total, result.stats.separators_tried);
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelLogKStatsTest, ::testing::Values(1, 4));
 
 }  // namespace

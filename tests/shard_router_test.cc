@@ -6,9 +6,12 @@
 #include "net/shard_router.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cq/query.h"
@@ -237,6 +240,81 @@ TEST(ShardRouterTest, DeadShardBacksOffWith503) {
   EXPECT_EQ(health.status, 200);
   EXPECT_NE(health.body.find("\"backing_off\": 1"), std::string::npos)
       << health.body;
+}
+
+TEST(ShardRouterTest, ForwardsReuseKeepAliveConnections) {
+  Fleet fleet = Fleet::Start();
+  const double before =
+      Metric(*fleet.shards[0], "htd_connections_accepted_total");
+  for (int i = 0; i < 50; ++i) {
+    HttpResponse response = fleet.router->Handle(
+        Request("POST", "/v1/decompose?k=2", fleet.on_shard0));
+    ASSERT_EQ(response.status, 200) << response.body;
+  }
+  const double accepted =
+      Metric(*fleet.shards[0], "htd_connections_accepted_total") - before;
+  EXPECT_GE(accepted, 1);
+  EXPECT_LE(accepted, static_cast<double>(ConnectionPool::kMaxIdlePerEndpoint))
+      << "each forward must not open its own connection";
+  fleet.Stop();
+}
+
+TEST(ShardRouterTest, ConnectionPoolReusesTheLongestIdleSocketFirst) {
+  // Oldest first, so forwards rotate over every pooled connection (and so
+  // over the backend's loops); the excess beyond the cap is closed.
+  ConnectionPool pool;
+  std::vector<int> fds;
+  for (size_t i = 0; i <= ConnectionPool::kMaxIdlePerEndpoint; ++i) {
+    util::Socket socket(::socket(AF_INET, SOCK_STREAM, 0));
+    ASSERT_TRUE(socket.valid());
+    fds.push_back(socket.fd());
+    pool.Give("127.0.0.1:1", std::move(socket));
+  }
+  for (size_t i = 0; i < ConnectionPool::kMaxIdlePerEndpoint; ++i) {
+    util::Socket socket = pool.Take("127.0.0.1:1");
+    ASSERT_TRUE(socket.valid());
+    EXPECT_EQ(socket.fd(), fds[i]);
+  }
+  EXPECT_FALSE(pool.Take("127.0.0.1:1").valid());
+  EXPECT_FALSE(pool.Take("127.0.0.1:2").valid());
+}
+
+TEST(ShardRouterTest, PooledSocketClosedByTheBackendIsRetriedTransparently) {
+  // A backend that reaps idle keep-alive connections after 100 ms: the
+  // router's pooled socket is closed under it between two forwards.
+  DecompositionServerOptions options;
+  options.http.port = 0;
+  options.http.idle_timeout_seconds = 0.1;
+  options.service.default_timeout_seconds = 30.0;
+  auto backend = DecompositionServer::Create(options);
+  ASSERT_TRUE(backend.ok()) << backend.status().message();
+  ASSERT_TRUE((*backend)->Start().ok());
+  ShardRouter router(ShardRouterOptions{
+      MustParse("127.0.0.1:" + std::to_string((*backend)->port()))});
+  const std::string instance = WriteHyperBench(MakePath(4));
+
+  HttpResponse first =
+      router.Handle(Request("POST", "/v1/decompose?k=2", instance));
+  ASSERT_EQ(first.status, 200) << first.body;
+  for (int i = 0;
+       i < 200 && Metric(**backend, "htd_connections_reaped_total") < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(Metric(**backend, "htd_connections_reaped_total"), 1)
+      << "the backend must have closed the pooled connection";
+
+  HttpResponse again =
+      router.Handle(Request("POST", "/v1/decompose?k=2", instance));
+  EXPECT_EQ(again.status, 200) << again.body;
+  EXPECT_NE(again.body.find("\"cache_hit\": true"), std::string::npos);
+  auto stats = router.shard_stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].transport_errors, 0u);
+  EXPECT_EQ(stats[0].consecutive_failures, 0);
+  EXPECT_FALSE(stats[0].backing_off);
+  EXPECT_EQ(Metric(**backend, "htd_connections_accepted_total"), 2)
+      << "the retry opens one fresh connection";
+  (*backend)->Stop();
 }
 
 TEST(ShardRouterTest, RouterRejectsGarbageBeforeForwarding) {

@@ -1,5 +1,7 @@
-// Tests for rng, stats, cancel token and thread pool.
+// Tests for rng, stats, cancel token, thread pool, timer and socket options.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <atomic>
 #include <cmath>
@@ -12,6 +14,7 @@
 
 #include "util/cancel.h"
 #include "util/rng.h"
+#include "util/socket.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -185,6 +188,23 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_GE(timer.ElapsedSeconds(), 0.015);
   timer.Restart();
   EXPECT_LT(timer.ElapsedSeconds(), 0.015);
+}
+
+TEST(SocketTest, RecvTimeoutZeroClearsAnEarlierTimeout) {
+  Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(sock.valid());
+  auto read_back = [&] {
+    timeval tv{};
+    socklen_t len = sizeof(tv);
+    EXPECT_EQ(::getsockopt(sock.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, &len), 0);
+    return static_cast<double>(tv.tv_sec) + tv.tv_usec * 1e-6;
+  };
+  SetRecvTimeout(sock.fd(), 2.5);
+  EXPECT_NEAR(read_back(), 2.5, 0.01);
+  // A reused socket asked for "no timeout" must block indefinitely again,
+  // not keep the earlier bound.
+  SetRecvTimeout(sock.fd(), 0);
+  EXPECT_EQ(read_back(), 0.0);
 }
 
 }  // namespace

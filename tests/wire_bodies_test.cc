@@ -95,7 +95,9 @@ std::string StatsBody(int skipped_rounds, const std::string& shard,
          "\"htd_antientropy_rounds_total\": {\"ok\": 0, \"error\": 0, "
          "\"skipped\": " + std::to_string(skipped_rounds) + "}, "
          "\"htd_antientropy_entries_total\": {\"cache\": 0, \"store\": 0}, "
-         "\"htd_antientropy_bytes_total\": 0, \"htd_connections_shed_total\": 0, "
+         "\"htd_antientropy_bytes_total\": 0, "
+         "\"htd_connections_accepted_total\": 0, "
+         "\"htd_connections_shed_total\": 0, "
          "\"htd_connections_reaped_total\": 0, \"htd_accept_failures_total\": 0, "
          "\"htd_connections\": {\"idle\": 0, \"reading\": 0, \"dispatched\": 0, "
          "\"writing\": 0}, \"htd_snapshot_restored_entries\": {\"cache\": 0, "

@@ -102,7 +102,8 @@ int main(int argc, char** argv) {
   flags.Text("--host", "ADDR", &http.host, "listen address")
       .Int("--port", &http.port, 0, 65535, "listen port, 0 = ephemeral")
       .Int("--io-threads", &http.io_threads, 1, 1024,
-           "handler threads; a synchronous solve blocks one while it runs")
+           "threads for work that waits (a sync solve, a cache miss); "
+           "warm hits answer on the loops")
       .Int("--loop-threads", &http.loop_threads, 1, 256,
            "epoll loops driving connection I/O (a few carry 10k+ sockets)")
       .Int("--workers", &workers, 1, 1024,

@@ -14,6 +14,8 @@ Phases (docs/SERVER.md):
      past the queue bound and sheds with 429 instead of queueing or hanging;
   4. sharding: two shard servers behind a --route-to proxy — deterministic
      fingerprint-range routing (resubmits hit the same shard's cache),
+     keep-alive forwards (replaying the corpus through the router opens far
+     fewer shard connections than it routes requests),
      aggregated stats summing across shards, per-shard snapshots, and a
      warm restart of ONE shard that serves its instances as cache hits
      while the other shard is untouched; then observability: /v1/metrics
@@ -199,6 +201,7 @@ def shard_of(fingerprint_hex, num_shards):
 
 STAGES = ("parse", "fingerprint", "cache", "schedule", "solve", "serialise")
 ADMISSION = "htd_admission_requests_total"
+ACCEPTED = "htd_connections_accepted_total"
 RESTORED = "htd_snapshot_restored_entries"
 
 
@@ -345,6 +348,26 @@ def shard_phase(workdir):
         client(port_r, "decompose", str(workdir / name), "--k", "2",
                "--expect-cache-hit", "--quiet")
 
+    # Keep-alive forwards: replaying the corpus reuses the router's pooled
+    # upstream connections instead of opening one per routed request (the
+    # count includes this phase's own two stats scrapes per shard).
+    rounds = 10
+    accepted = {i: metric(json.loads(client(p, "stats").stdout), ACCEPTED)
+                for i, p in ((0, port_a), (1, port_b))}
+    for _ in range(rounds):
+        for name in corpus:
+            client(port_r, "decompose", str(workdir / name), "--k", "2",
+                   "--expect-cache-hit", "--quiet")
+    opened = {}
+    for index, port in ((0, port_a), (1, port_b)):
+        grew = metric(json.loads(client(port, "stats").stdout), ACCEPTED) - \
+            accepted[index]
+        routed = rounds * len(by_shard[index])
+        opened[index] = f"{routed} routed/{grew:g} accepted"
+        if grew * 4 > routed:
+            fail(f"shard {index}: {routed} routed requests opened {grew} "
+                 f"connections (router forwards are not kept alive?)")
+
     # Per-shard stats confirm the split, aggregated stats sum across shards.
     stats = {i: json.loads(client(p, "stats").stdout)
              for i, p in ((0, port_a), (1, port_b))}
@@ -400,7 +423,8 @@ def shard_phase(workdir):
     for proc in shards.values():
         stop_server(proc)
     print(f"phase 4 OK: routed {len(corpus)} instances across 2 shards "
-          f"({len(by_shard[0])}/{len(by_shard[1])} split), aggregate stats "
+          f"({len(by_shard[0])}/{len(by_shard[1])} split), keep-alive "
+          f"forwards ({opened[0]}, {opened[1]}), aggregate stats "
           f"consistent, per-shard warm restart served "
           f"{len(by_shard[0])} cache hits")
 
